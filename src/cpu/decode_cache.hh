@@ -45,36 +45,17 @@
 
 namespace misp::cpu {
 
-/** Host-dispatch class of a decoded instruction, precomputed at
- *  page-decode time for the superblock engine. */
-enum class OpClass : std::uint8_t {
-    /** Pure register/flags op: the block executor runs it inline with a
-     *  batched fetch replay (no TLB, memory, or environment effects). */
-    Inline,
-    /** Memory or fault-capable op: dispatched through the generic
-     *  executeDecoded path; superblock *body* member (non-terminating),
-     *  but execution revalidates the chain after it (SMC, TLB churn). */
-    Mem,
-    /** Pure control transfer (JMP / JMPR / Jcc): superblock terminator;
-     *  its exits carry the chain links. */
-    Branch,
-    /** Environment/serialization point (HALT, SYSCALL, RTCALL, SIGNAL,
-     *  CALL/RET, YRET, SEMONITOR): superblock terminator; always slow
-     *  dispatch followed by a full re-resolve. */
-    Slow,
-    /** Decode failed: terminator raising InvalidOpcode on dispatch. */
-    Invalid,
-};
-
-/** Classification used to place @p op in a superblock. */
-OpClass classifyOp(isa::Opcode op);
+/** Host-dispatch class of a decoded instruction (the opcode table's
+ *  class column), precomputed at page-decode time for the superblock
+ *  engine. */
+using isa::OpClass;
 
 /** One predecoded instruction slot. */
 struct DecodedSlot {
     isa::Instruction inst;
     Cycles lat = 0;     ///< precomputed isa::baseLatency(inst.op)
     bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
-    OpClass cls = OpClass::Invalid; ///< precomputed classifyOp(inst.op)
+    OpClass cls = OpClass::Invalid; ///< precomputed isa::opClass(inst.op)
 };
 
 struct PageSuperblocks;
@@ -89,10 +70,9 @@ struct DecodedPage {
     std::uint64_t version = 0; ///< bumped by every invalidation/redecode
     bool decoded = false;      ///< false between invalidation and redecode
     std::array<DecodedSlot, kSlots> slots{};
-    /** Superblock metadata, built lazily by the superblock engine and
-     *  dropped whenever the page is redecoded (the slots it indexes
-     *  changed). Pages executed only by the other engines never pay
-     *  for it. */
+    /** Superblock metadata, built lazily on the first block dispatch
+     *  and dropped whenever the page is redecoded (the slots it indexes
+     *  changed). */
     std::unique_ptr<PageSuperblocks> sbs;
 };
 
@@ -202,9 +182,8 @@ class DecodeCache
         pages_;
     /** One bit per VPN of the 32-bit guest space: page currently holds
      *  decoded contents. Keeps the per-store coherence probe O(1).
-     *  Allocated lazily on the first decode, so address spaces that
-     *  never execute through the engine (or run with it disabled) pay
-     *  nothing. */
+     *  Allocated lazily on the first decode, so address spaces run
+     *  only by the reference engine pay nothing. */
     std::vector<std::uint64_t> decodedBits_;
 
     std::uint64_t pagesDecoded_ = 0;

@@ -483,6 +483,7 @@ Sequencer::condHolds(isa::Cond cond) const
       case isa::Cond::Ge: return f.sf == f.of;
       case isa::Cond::Ult: return f.cf;
       case isa::Cond::Uge: return !f.cf;
+      case isa::Cond::NumConds: break; // rejected by decode
     }
     return false;
 }
@@ -507,48 +508,6 @@ Sequencer::refillBlock(std::uint64_t vpn, PAddr pa)
 Cycles
 Sequencer::executeOne(bool *stop)
 {
-    if (engine_ != Engine::Reference) {
-        // Predecoded-block engine: model the fetch translation exactly
-        // (same TLB state, counters, and cycles as the reference path),
-        // then dispatch straight from the decoded page.
-        mem::FetchResult fr =
-            mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
-        Cycles cycles = fr.cycles;
-        if (fr.fault) {
-            bool advance = false;
-            cycles += handleFaultFromExec(fr.fault, stop, &advance);
-            return cycles;
-        }
-
-        const std::uint64_t vpn = mem::pageNumber(ctx_.eip);
-        // Validate the cached block: generation first (an address-space
-        // switch may have freed the page), then identity and content.
-        if (block_.page != nullptr &&
-            block_.asGen == mmu_.addressSpaceGen() && block_.vpn == vpn &&
-            block_.page->version == block_.version &&
-            block_.page->paBase == (fr.pa & ~static_cast<PAddr>(
-                                                mem::kPageMask))) {
-            ++decodeCacheHits_;
-        } else {
-            refillBlock(vpn, fr.pa);
-        }
-
-        const DecodedSlot &slot =
-            block_.page->slots[mem::pageOffset(ctx_.eip) /
-                               isa::kInstBytes];
-        if (!slot.valid) {
-            bool advance = false;
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::InvalidOpcode, ctx_.eip),
-                stop, &advance);
-            if (advance)
-                ctx_.eip += isa::kInstBytes;
-            return cycles;
-        }
-        return executeDecoded(slot.inst, cycles + slot.lat, stop);
-    }
-
-    // Reference path: per-instruction fetch + byte-level decode.
     std::uint8_t buf[isa::kInstBytes];
     mem::AccessResult fr = mmu_.fetchInst(ctx_.eip, buf, ring_);
     Cycles cycles = fr.cycles;
@@ -572,345 +531,11 @@ Sequencer::executeOne(bool *stop)
     return executeDecoded(inst, cycles + isa::baseLatency(inst.op), stop);
 }
 
-Cycles
-Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
-                          bool *stop)
-{
-    auto &regs = ctx_.regs;
-    bool advance = true;
-
-    // Memory access helpers that route faults through the environment.
-    bool faulted = false;
-    auto memRead = [&](VAddr va, unsigned size, Word *out) {
-        mem::AccessResult r = mmu_.read(va, size, ring_);
-        cycles += r.cycles;
-        if (r.fault) {
-            cycles += handleFaultFromExec(r.fault, stop, &advance);
-            faulted = true;
-            return false;
-        }
-        *out = r.value;
-        return true;
-    };
-    auto memWrite = [&](VAddr va, Word value, unsigned size) {
-        mem::AccessResult r = mmu_.write(va, value, size, ring_);
-        cycles += r.cycles;
-        if (r.fault) {
-            cycles += handleFaultFromExec(r.fault, stop, &advance);
-            faulted = true;
-            return false;
-        }
-        return true;
-    };
-    // Atomic read-modify-write: one translation with write intent.
-    auto memRmw = [&](VAddr va, Word *oldOut,
-                      auto &&newValue) { // newValue(Word old) -> Word
-        PAddr pa = 0;
-        mem::AccessResult r =
-            mmu_.translate(va, 8, mem::Access::Write, ring_, &pa);
-        cycles += r.cycles;
-        if (r.fault) {
-            cycles += handleFaultFromExec(r.fault, stop, &advance);
-            faulted = true;
-            return false;
-        }
-        Word old = mmu_.read(va, 8, ring_).value;
-        *oldOut = old;
-        mmu_.write(va, newValue(old), 8, ring_);
-        return true;
-    };
-
-    switch (inst.op) {
-      case Opcode::Nop:
-        break;
-      case Opcode::Halt:
-        advance = false;
-        *stop = true;
-        halt();
-        if (env_)
-            env_->sequencerHalted(*this);
-        break;
-      case Opcode::MovI:
-        regs[inst.rd] = inst.imm;
-        break;
-      case Opcode::Mov:
-        regs[inst.rd] = regs[inst.rs1];
-        break;
-      case Opcode::Add:
-        regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2];
-        break;
-      case Opcode::Sub:
-        regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2];
-        break;
-      case Opcode::Mul:
-        regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2];
-        break;
-      case Opcode::Div:
-      case Opcode::Rem: {
-        if (regs[inst.rs2] == 0) {
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
-                stop, &advance);
-            break;
-        }
-        SWord a = static_cast<SWord>(regs[inst.rs1]);
-        SWord b = static_cast<SWord>(regs[inst.rs2]);
-        regs[inst.rd] = static_cast<Word>(
-            inst.op == Opcode::Div ? a / b : a % b);
-        break;
-      }
-      case Opcode::And:
-        regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2];
-        break;
-      case Opcode::Or:
-        regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2];
-        break;
-      case Opcode::Xor:
-        regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2];
-        break;
-      case Opcode::Shl:
-        regs[inst.rd] = regs[inst.rs1] << (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Shr:
-        regs[inst.rd] = regs[inst.rs1] >> (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Sar:
-        regs[inst.rd] = static_cast<Word>(
-            static_cast<SWord>(regs[inst.rs1]) >> (regs[inst.rs2] & 63));
-        break;
-      case Opcode::AddI:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
-      case Opcode::SubI:
-        regs[inst.rd] = regs[inst.rs1] - inst.imm;
-        break;
-      case Opcode::MulI:
-        regs[inst.rd] = regs[inst.rs1] * inst.imm;
-        break;
-      case Opcode::DivI: {
-        if (inst.imm == 0) {
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
-                stop, &advance);
-            break;
-        }
-        regs[inst.rd] = static_cast<Word>(
-            static_cast<SWord>(regs[inst.rs1]) /
-            static_cast<SWord>(inst.imm));
-        break;
-      }
-      case Opcode::AndI:
-        regs[inst.rd] = regs[inst.rs1] & inst.imm;
-        break;
-      case Opcode::OrI:
-        regs[inst.rd] = regs[inst.rs1] | inst.imm;
-        break;
-      case Opcode::XorI:
-        regs[inst.rd] = regs[inst.rs1] ^ inst.imm;
-        break;
-      case Opcode::ShlI:
-        regs[inst.rd] = regs[inst.rs1] << (inst.imm & 63);
-        break;
-      case Opcode::ShrI:
-        regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 63);
-        break;
-      case Opcode::Cmp:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(regs[inst.rs2]));
-        break;
-      case Opcode::CmpI:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(inst.imm));
-        break;
-      case Opcode::Ld: {
-        Word v = 0;
-        if (memRead(regs[inst.rs1] + inst.imm, inst.sub, &v))
-            regs[inst.rd] = v;
-        break;
-      }
-      case Opcode::St:
-        memWrite(regs[inst.rs1] + inst.imm, regs[inst.rs2], inst.sub);
-        break;
-      case Opcode::Push: {
-        Word newSp = ctx_.sp() - 8;
-        if (memWrite(newSp, regs[inst.rs1], 8))
-            ctx_.sp() = newSp;
-        break;
-      }
-      case Opcode::Pop: {
-        Word v = 0;
-        if (memRead(ctx_.sp(), 8, &v)) {
-            regs[inst.rd] = v;
-            ctx_.sp() += 8;
-        }
-        break;
-      }
-      case Opcode::Lea:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
-      case Opcode::Jmp:
-        ctx_.eip = inst.imm;
-        advance = false;
-        break;
-      case Opcode::JmpR:
-        ctx_.eip = regs[inst.rs1];
-        advance = false;
-        break;
-      case Opcode::Jcc:
-        if (condHolds(static_cast<isa::Cond>(inst.sub))) {
-            ctx_.eip = inst.imm;
-            advance = false;
-        }
-        break;
-      case Opcode::Call: {
-        Word newSp = ctx_.sp() - 8;
-        if (memWrite(newSp, ctx_.eip + isa::kInstBytes, 8)) {
-            ctx_.sp() = newSp;
-            ctx_.eip = inst.imm;
-            advance = false;
-        }
-        break;
-      }
-      case Opcode::CallR: {
-        VAddr target = regs[inst.rs1];
-        Word newSp = ctx_.sp() - 8;
-        if (memWrite(newSp, ctx_.eip + isa::kInstBytes, 8)) {
-            ctx_.sp() = newSp;
-            ctx_.eip = target;
-            advance = false;
-        }
-        break;
-      }
-      case Opcode::Ret: {
-        Word v = 0;
-        if (memRead(ctx_.sp(), 8, &v)) {
-            ctx_.sp() += 8;
-            ctx_.eip = v;
-            advance = false;
-        }
-        break;
-      }
-      case Opcode::Xchg: {
-        Word old = 0;
-        Word mine = regs[inst.rd];
-        if (memRmw(regs[inst.rs1], &old, [&](Word) { return mine; }))
-            regs[inst.rd] = old;
-        break;
-      }
-      case Opcode::CmpXchg: {
-        Word old = 0;
-        Word expected = regs[inst.rd];
-        Word desired = regs[inst.rs2];
-        bool swapped = false;
-        if (memRmw(regs[inst.rs1], &old, [&](Word cur) {
-                if (cur == expected) {
-                    swapped = true;
-                    return desired;
-                }
-                return cur;
-            })) {
-            ctx_.flags.zf = swapped;
-            if (!swapped)
-                regs[inst.rd] = old;
-        }
-        break;
-      }
-      case Opcode::FetchAdd: {
-        Word old = 0;
-        Word addend = regs[inst.rs2];
-        if (memRmw(regs[inst.rs1], &old,
-                   [&](Word cur) { return cur + addend; }))
-            regs[inst.rd] = old;
-        break;
-      }
-      case Opcode::Pause:
-        break;
-      case Opcode::Compute: {
-        Cycles burn = inst.imm;
-        if (inst.rs1 != 0)
-            burn += regs[inst.rs1];
-        cycles += burn;
-        break;
-      }
-      case Opcode::Syscall: {
-        cycles += handleFaultFromExec(mem::Fault::syscall(inst.imm), stop,
-                                      &advance);
-        break;
-      }
-      case Opcode::RtCall: {
-        MISP_ASSERT(env_ != nullptr);
-        // Advance first so services that redirect EIP (shred switches)
-        // see the post-call continuation.
-        ctx_.eip += isa::kInstBytes;
-        advance = false;
-        cycles += env_->handleRtCall(*this, inst.imm);
-        if (state_ != SeqState::Running)
-            *stop = true;
-        break;
-      }
-      case Opcode::SeqId:
-        regs[inst.rd] = sid_;
-        break;
-      case Opcode::NumSeq:
-        regs[inst.rd] = env_ ? env_->numSequencers() : 1;
-        break;
-      case Opcode::RdTick:
-        regs[inst.rd] = eq_.curTick();
-        break;
-      case Opcode::Signal: {
-        MISP_ASSERT(env_ != nullptr);
-        ++signalsSent_;
-        SignalPayload payload;
-        payload.eip = regs[inst.rs2];
-        payload.esp = regs[inst.rd];
-        payload.arg = regs[2];
-        env_->signalInstruction(
-            *this, static_cast<SequencerId>(regs[inst.rs1]), payload);
-        break;
-      }
-      case Opcode::Semonitor:
-        ctx_.setTrigger(static_cast<Scenario>(inst.sub), inst.imm);
-        break;
-      case Opcode::Yret: {
-        if (!ctx_.inHandler) {
-            cycles += handleFaultFromExec(
-                mem::Fault::of(mem::FaultKind::GeneralProtection,
-                               ctx_.eip),
-                stop, &advance);
-            break;
-        }
-        ctx_.inHandler = false;
-        advance = false;
-        for (unsigned i = 0; i < 4; ++i)
-            ctx_.regs[kRegScenario + i] = ctx_.bankedRegs[i];
-        if (ctx_.savedEip == 0) {
-            // The transfer interrupted an idle sequencer: go back to
-            // idle (a queued payload may immediately restart us).
-            *stop = true;
-            park();
-        } else {
-            ctx_.eip = ctx_.savedEip;
-            ctx_.savedEip = 0;
-        }
-        break;
-      }
-      case Opcode::NumOpcodes:
-        panic("decoded NumOpcodes");
-    }
-
-    if (!faulted || advance) {
-        // Retired (faulting instructions that will retry don't count).
-        if (!faulted)
-            ++instsRetired_;
-    }
-    if (advance)
-        ctx_.eip += isa::kInstBytes;
-    return cycles;
-}
-
 void
 Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
 {
+    // A plain switch, inlined into the superblock fast loop: one
+    // definition per Inline-class op, with no per-op call.
     auto &regs = ctx_.regs;
     switch (inst.op) {
       case Opcode::Nop:
@@ -1006,6 +631,256 @@ Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
     }
 }
 
+Cycles
+Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
+                          bool *stop)
+{
+    auto &regs = ctx_.regs;
+    bool advance = true;
+
+    // Memory access helpers that route faults through the environment.
+    bool faulted = false;
+    auto memRead = [&](VAddr va, unsigned size, Word *out) {
+        mem::AccessResult r = mmu_.read(va, size, ring_);
+        cycles += r.cycles;
+        if (r.fault) {
+            cycles += handleFaultFromExec(r.fault, stop, &advance);
+            faulted = true;
+            return false;
+        }
+        *out = r.value;
+        return true;
+    };
+    auto memWrite = [&](VAddr va, Word value, unsigned size) {
+        mem::AccessResult r = mmu_.write(va, value, size, ring_);
+        cycles += r.cycles;
+        if (r.fault) {
+            cycles += handleFaultFromExec(r.fault, stop, &advance);
+            faulted = true;
+            return false;
+        }
+        return true;
+    };
+    // Atomic read-modify-write: one translation with write intent.
+    auto memRmw = [&](VAddr va, Word *oldOut,
+                      auto &&newValue) { // newValue(Word old) -> Word
+        PAddr pa = 0;
+        mem::AccessResult r =
+            mmu_.translate(va, 8, mem::Access::Write, ring_, &pa);
+        cycles += r.cycles;
+        if (r.fault) {
+            cycles += handleFaultFromExec(r.fault, stop, &advance);
+            faulted = true;
+            return false;
+        }
+        Word old = mmu_.read(va, 8, ring_).value;
+        *oldOut = old;
+        mmu_.write(va, newValue(old), 8, ring_);
+        return true;
+    };
+
+    switch (inst.op) {
+      case Opcode::Halt:
+        advance = false;
+        *stop = true;
+        halt();
+        if (env_)
+            env_->sequencerHalted(*this);
+        break;
+      case Opcode::Div:
+      case Opcode::Rem: {
+        if (regs[inst.rs2] == 0) {
+            cycles += handleFaultFromExec(
+                mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
+                stop, &advance);
+            break;
+        }
+        SWord a = static_cast<SWord>(regs[inst.rs1]);
+        SWord b = static_cast<SWord>(regs[inst.rs2]);
+        regs[inst.rd] = static_cast<Word>(
+            inst.op == Opcode::Div ? a / b : a % b);
+        break;
+      }
+      case Opcode::DivI: {
+        if (inst.imm == 0) {
+            cycles += handleFaultFromExec(
+                mem::Fault::of(mem::FaultKind::DivideError, ctx_.eip),
+                stop, &advance);
+            break;
+        }
+        regs[inst.rd] = static_cast<Word>(
+            static_cast<SWord>(regs[inst.rs1]) /
+            static_cast<SWord>(inst.imm));
+        break;
+      }
+      case Opcode::Ld: {
+        Word v = 0;
+        if (memRead(regs[inst.rs1] + inst.imm, inst.sub, &v))
+            regs[inst.rd] = v;
+        break;
+      }
+      case Opcode::St:
+        memWrite(regs[inst.rs1] + inst.imm, regs[inst.rs2], inst.sub);
+        break;
+      case Opcode::Push: {
+        Word newSp = ctx_.sp() - 8;
+        if (memWrite(newSp, regs[inst.rs1], 8))
+            ctx_.sp() = newSp;
+        break;
+      }
+      case Opcode::Pop: {
+        Word v = 0;
+        if (memRead(ctx_.sp(), 8, &v)) {
+            regs[inst.rd] = v;
+            ctx_.sp() += 8;
+        }
+        break;
+      }
+      case Opcode::Jmp:
+        ctx_.eip = inst.imm;
+        advance = false;
+        break;
+      case Opcode::JmpR:
+        ctx_.eip = regs[inst.rs1];
+        advance = false;
+        break;
+      case Opcode::Jcc:
+        if (condHolds(static_cast<isa::Cond>(inst.sub))) {
+            ctx_.eip = inst.imm;
+            advance = false;
+        }
+        break;
+      case Opcode::Call: {
+        Word newSp = ctx_.sp() - 8;
+        if (memWrite(newSp, ctx_.eip + isa::kInstBytes, 8)) {
+            ctx_.sp() = newSp;
+            ctx_.eip = inst.imm;
+            advance = false;
+        }
+        break;
+      }
+      case Opcode::CallR: {
+        VAddr target = regs[inst.rs1];
+        Word newSp = ctx_.sp() - 8;
+        if (memWrite(newSp, ctx_.eip + isa::kInstBytes, 8)) {
+            ctx_.sp() = newSp;
+            ctx_.eip = target;
+            advance = false;
+        }
+        break;
+      }
+      case Opcode::Ret: {
+        Word v = 0;
+        if (memRead(ctx_.sp(), 8, &v)) {
+            ctx_.sp() += 8;
+            ctx_.eip = v;
+            advance = false;
+        }
+        break;
+      }
+      case Opcode::Xchg: {
+        Word old = 0;
+        Word mine = regs[inst.rd];
+        if (memRmw(regs[inst.rs1], &old, [&](Word) { return mine; }))
+            regs[inst.rd] = old;
+        break;
+      }
+      case Opcode::CmpXchg: {
+        Word old = 0;
+        Word expected = regs[inst.rd];
+        Word desired = regs[inst.rs2];
+        bool swapped = false;
+        if (memRmw(regs[inst.rs1], &old, [&](Word cur) {
+                if (cur == expected) {
+                    swapped = true;
+                    return desired;
+                }
+                return cur;
+            })) {
+            ctx_.flags.zf = swapped;
+            if (!swapped)
+                regs[inst.rd] = old;
+        }
+        break;
+      }
+      case Opcode::FetchAdd: {
+        Word old = 0;
+        Word addend = regs[inst.rs2];
+        if (memRmw(regs[inst.rs1], &old,
+                   [&](Word cur) { return cur + addend; }))
+            regs[inst.rd] = old;
+        break;
+      }
+      case Opcode::Syscall: {
+        cycles += handleFaultFromExec(mem::Fault::syscall(inst.imm), stop,
+                                      &advance);
+        break;
+      }
+      case Opcode::RtCall: {
+        MISP_ASSERT(env_ != nullptr);
+        // Advance first so services that redirect EIP (shred switches)
+        // see the post-call continuation.
+        ctx_.eip += isa::kInstBytes;
+        advance = false;
+        cycles += env_->handleRtCall(*this, inst.imm);
+        if (state_ != SeqState::Running)
+            *stop = true;
+        break;
+      }
+      case Opcode::Signal: {
+        MISP_ASSERT(env_ != nullptr);
+        ++signalsSent_;
+        SignalPayload payload;
+        payload.eip = regs[inst.rs2];
+        payload.esp = regs[inst.rd];
+        payload.arg = regs[2];
+        env_->signalInstruction(
+            *this, static_cast<SequencerId>(regs[inst.rs1]), payload);
+        break;
+      }
+      case Opcode::Semonitor:
+        ctx_.setTrigger(static_cast<Scenario>(inst.sub), inst.imm);
+        break;
+      case Opcode::Yret: {
+        if (!ctx_.inHandler) {
+            cycles += handleFaultFromExec(
+                mem::Fault::of(mem::FaultKind::GeneralProtection,
+                               ctx_.eip),
+                stop, &advance);
+            break;
+        }
+        ctx_.inHandler = false;
+        advance = false;
+        for (unsigned i = 0; i < 4; ++i)
+            ctx_.regs[kRegScenario + i] = ctx_.bankedRegs[i];
+        if (ctx_.savedEip == 0) {
+            // The transfer interrupted an idle sequencer: go back to
+            // idle (a queued payload may immediately restart us).
+            *stop = true;
+            park();
+        } else {
+            ctx_.eip = ctx_.savedEip;
+            ctx_.savedEip = 0;
+        }
+        break;
+      }
+      default:
+        // Inline-class ops: one definition, shared with the superblock
+        // engine's fast path.
+        execInline(inst, &cycles);
+        break;
+    }
+
+    if (!faulted || advance) {
+        // Retired (faulting instructions that will retry don't count).
+        if (!faulted)
+            ++instsRetired_;
+    }
+    if (advance)
+        ctx_.eip += isa::kInstBytes;
+    return cycles;
+}
+
 void
 Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
 {
@@ -1067,6 +942,49 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
     std::uint32_t linkFromSb = 0;
     std::uint64_t linkFromVer = 0;
     bool linkTaken = false;
+
+    // Leave the current block through its static @p taken (or page-edge)
+    // exit: stash the exit's link for the resolve and force one.
+    auto chainExit = [&](bool taken) {
+        const Superblock &blk = page->sbs->blocks[sbi];
+        hint = taken ? blk.taken : blk.fall;
+        linkFrom = page;
+        linkFromSb = sbi;
+        linkFromVer = page->version;
+        linkTaken = taken;
+        page = nullptr;
+    };
+    // Execute the Branch-class terminator @p t fetched at @p eip inline
+    // and return the next EIP. A same-page target continues the chain
+    // through the per-page block table (the fetch stays on the batched
+    // replay path); any other target leaves page == nullptr. Forced
+    // inline: both call sites are on the per-instruction path.
+    auto runBranch = [&](const DecodedSlot &t,
+                         VAddr eip) __attribute__((always_inline)) {
+        consumed += t.lat;
+        bool taken = true;
+        VAddr target = t.inst.imm;
+        if (t.inst.op == Opcode::JmpR)
+            target = ctx_.regs[t.inst.rs1];
+        else if (t.inst.op == Opcode::Jcc)
+            taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
+        const VAddr neip = taken ? target : eip + isa::kInstBytes;
+        ++executed;
+        ++retired;
+        if (mem::pageNumber(neip) == page->vpn &&
+            (neip & (isa::kInstBytes - 1)) == 0) {
+            cur = slotOf(neip);
+            sbi = superblockAt(*page, cur);
+            term = page->sbs->blocks[sbi].term;
+        } else if (t.inst.op != Opcode::JmpR) {
+            // Static exit. An indirect branch's target may differ every
+            // traversal, so it is never linked.
+            chainExit(taken);
+        } else {
+            page = nullptr;
+        }
+        return neip;
+    };
 
     while (executed < sliceLimit && consumed < sliceBudget && !stop) {
         // Exactly one guest instruction is dispatched per iteration, so
@@ -1203,13 +1121,7 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
                         ++retired;
                         if (cur == DecodedPage::kSlots) {
                             // Ran off the page edge: chain onward.
-                            Superblock &blk = page->sbs->blocks[sbi];
-                            hint = blk.taken;
-                            linkFrom = page;
-                            linkFromSb = sbi;
-                            linkFromVer = page->version;
-                            linkTaken = true;
-                            page = nullptr;
+                            chainExit(true);
                             break;
                         }
                         continue;
@@ -1260,14 +1172,7 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
                                 break;
                             }
                             if (cur == DecodedPage::kSlots) {
-                                Superblock &blk =
-                                    page->sbs->blocks[sbi];
-                                hint = blk.taken;
-                                linkFrom = page;
-                                linkFromSb = sbi;
-                                linkFromVer = page->version;
-                                linkTaken = true;
-                                page = nullptr;
+                                chainExit(true);
                                 break;
                             }
                             continue;
@@ -1286,43 +1191,9 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
                     ++hits;
                 }
                 first = false;
-                // Pure control transfer, executed inline; its exits
-                // carry the chain links.
-                consumed += t.lat;
-                bool taken = true;
-                VAddr target = t.inst.imm;
-                if (t.inst.op == Opcode::JmpR)
-                    target = ctx_.regs[t.inst.rs1];
-                else if (t.inst.op == Opcode::Jcc)
-                    taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
-                const VAddr neip =
-                    taken ? target : eip + isa::kInstBytes;
-                eip = neip;
-                ++executed;
-                ++retired;
-                if (mem::pageNumber(neip) == page->vpn &&
-                    (neip & (isa::kInstBytes - 1)) == 0) {
-                    // Same-page chain: the per-page block table is the
-                    // link; the fetch stays on the batched replay
-                    // path.
-                    cur = slotOf(neip);
-                    sbi = superblockAt(*page, cur);
-                    term = page->sbs->blocks[sbi].term;
-                    continue;
-                }
-                if (t.inst.op != Opcode::JmpR) {
-                    // Static exit: hand the link to the resolve. An
-                    // indirect branch's target may differ every
-                    // traversal, so it is never linked.
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = taken ? blk.taken : blk.fall;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = taken;
-                }
-                page = nullptr;
-                break;
+                eip = runBranch(t, eip);
+                if (page == nullptr)
+                    break;
             }
             ctx_.eip = eip;
             if (!first)
@@ -1343,15 +1214,8 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
                 ++cur;
                 ++executed;
                 ++retired;
-                if (cur == DecodedPage::kSlots) {
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = blk.taken;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = true;
-                    page = nullptr;
-                }
+                if (cur == DecodedPage::kSlots)
+                    chainExit(true);
                 continue;
             }
             // OpClass::Mem through the generic path.
@@ -1388,41 +1252,7 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
 
         const DecodedSlot &s = page->slots[cur];
         if (s.cls == OpClass::Branch) {
-            // Pure control transfer, executed inline; its exits carry
-            // the chain links.
-            consumed += s.lat;
-            bool taken = true;
-            VAddr target = s.inst.imm;
-            if (s.inst.op == Opcode::JmpR)
-                target = ctx_.regs[s.inst.rs1];
-            else if (s.inst.op == Opcode::Jcc)
-                taken = condHolds(static_cast<isa::Cond>(s.inst.sub));
-            const VAddr neip =
-                taken ? target : ctx_.eip + isa::kInstBytes;
-            ctx_.eip = neip;
-            ++executed;
-            ++retired;
-            if (mem::pageNumber(neip) == page->vpn &&
-                (neip & (isa::kInstBytes - 1)) == 0) {
-                // Same-page chain: the per-page block table is the
-                // link; the fetch stays on the batched replay path.
-                cur = slotOf(neip);
-                sbi = superblockAt(*page, cur);
-                term = page->sbs->blocks[sbi].term;
-            } else {
-                if (s.inst.op != Opcode::JmpR) {
-                    // Static exit: hand the link to the resolve. An
-                    // indirect branch's target may differ every
-                    // traversal, so it is never linked.
-                    Superblock &blk = page->sbs->blocks[sbi];
-                    hint = taken ? blk.taken : blk.fall;
-                    linkFrom = page;
-                    linkFromSb = sbi;
-                    linkFromVer = page->version;
-                    linkTaken = taken;
-                }
-                page = nullptr;
-            }
+            ctx_.eip = runBranch(s, ctx_.eip);
             continue;
         }
 

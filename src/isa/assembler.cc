@@ -52,6 +52,15 @@ parseImm(const std::string &tok, std::int64_t *out)
     std::size_t pos = 0;
     try {
         *out = std::stoll(tok, &pos, 0);
+    } catch (const std::out_of_range &) {
+        // Above INT64_MAX: an unsigned immediate, kept bit for bit.
+        try {
+            if (tok[0] == '-')
+                return false;
+            *out = static_cast<std::int64_t>(std::stoull(tok, &pos, 0));
+        } catch (...) {
+            return false;
+        }
     } catch (...) {
         return false;
     }
@@ -68,6 +77,11 @@ parseOperand(unsigned lineNo, std::string tok)
         tok.pop_back();
     if (tok.empty())
         throw AsmError(lineNo, "empty operand");
+    // A descriptive `name=` prefix, as disassembly prints for SIGNAL and
+    // SEMONITOR operands, is accepted and ignored.
+    std::size_t eq = tok.find('=');
+    if (eq != std::string::npos && tok.front() != '[')
+        tok.erase(0, eq + 1);
 
     Operand op;
     if (tok.front() == '[') {
@@ -105,15 +119,22 @@ parseOperand(unsigned lineNo, std::string tok)
 std::optional<Cond>
 condFromName(const std::string &name)
 {
-    static const std::map<std::string, Cond> kMap = {
-        {"eq", Cond::Eq}, {"ne", Cond::Ne}, {"lt", Cond::Lt},
-        {"le", Cond::Le}, {"gt", Cond::Gt}, {"ge", Cond::Ge},
-        {"ult", Cond::Ult}, {"uge", Cond::Uge},
-    };
-    auto it = kMap.find(name);
-    if (it == kMap.end())
-        return std::nullopt;
-    return it->second;
+    for (unsigned c = 0; c < static_cast<unsigned>(Cond::NumConds); ++c) {
+        if (name == condName(static_cast<Cond>(c)))
+            return static_cast<Cond>(c);
+    }
+    return std::nullopt;
+}
+
+std::optional<Opcode>
+opcodeFromName(const std::string &name)
+{
+    for (unsigned op = 0; op < static_cast<unsigned>(Opcode::NumOpcodes);
+         ++op) {
+        if (name == kOpTable[op].mnemonic)
+            return static_cast<Opcode>(op);
+    }
+    return std::nullopt;
 }
 
 std::optional<Scenario>
@@ -148,7 +169,6 @@ assemble(const std::string &source, VAddr base)
     std::istringstream in(source);
     std::string rawLine;
     unsigned lineNo = 0;
-    std::vector<std::string> exportedNames;
 
     while (std::getline(in, rawLine)) {
         ++lineNo;
@@ -178,7 +198,6 @@ assemble(const std::string &source, VAddr base)
                 ProgramBuilder::Label l = labelFor(name);
                 builder.bind(l);
                 builder.exportLabel(name, l);
-                exportedNames.push_back(name);
                 text = text.substr(colon + 1);
                 continue;
             }
@@ -239,155 +258,175 @@ assemble(const std::string &source, VAddr base)
                                            " must be a memory reference");
             return ops[i];
         };
-        auto target = [&](std::size_t i) {
-            if (ops[i].kind != Operand::Kind::Name)
-                throw AsmError(lineNo, mnemonic + ": operand " +
-                                           std::to_string(i + 1) +
-                                           " must be a label");
-            return labelFor(ops[i].name);
-        };
 
-        // Memory ops with size suffix.
-        if (mnemonic.size() == 3 &&
-            (mnemonic.compare(0, 2, "ld") == 0 ||
-             mnemonic.compare(0, 2, "st") == 0)) {
-            unsigned size = mnemonic[2] - '0';
+        // Mnemonic -> opcode + sub: a table name, a Load/Store name with
+        // its size suffix (ld8, st4), or jcc.<cond>.
+        const std::size_t dot = mnemonic.find('.');
+        std::string base = mnemonic.substr(0, dot);
+        if (dot == std::string::npos && !base.empty() &&
+            std::isdigit(static_cast<unsigned char>(base.back())))
+            base.pop_back();
+        const auto op = opcodeFromName(base);
+        const Format format = op ? opInfo(*op).format : Format::None;
+        const bool sized = format == Format::Load || format == Format::Store;
+        const bool conditional = format == Format::CondTarget;
+        if (!op || (dot != std::string::npos) != conditional ||
+            (base.size() < mnemonic.size() && !sized && !conditional))
+            throw AsmError(lineNo, "unknown mnemonic: " + mnemonic);
+        Instruction inst;
+        inst.op = *op;
+        if (sized) {
+            const unsigned size =
+                base == mnemonic ? 0 : unsigned(mnemonic.back() - '0');
             if (size != 1 && size != 2 && size != 4 && size != 8)
                 throw AsmError(lineNo, "bad memory size: " + mnemonic);
-            if (mnemonic[0] == 'l') {
-                expect(2);
-                const Operand &m = mem(1);
-                builder.ld(reg(0), m.reg, m.imm, size);
-            } else {
-                expect(2);
-                const Operand &m = mem(0);
-                builder.st(m.reg, m.imm, reg(1), size);
-            }
-            continue;
-        }
-
-        // jcc.<cond>
-        if (mnemonic.compare(0, 4, "jcc.") == 0 ||
-            mnemonic.compare(0, 2, "j.") == 0) {
-            std::string condName = mnemonic.substr(mnemonic.find('.') + 1);
-            auto cond = condFromName(condName);
+            inst.sub = static_cast<std::uint8_t>(size);
+        } else if (conditional) {
+            const std::string name = mnemonic.substr(dot + 1);
+            const auto cond = condFromName(name);
             if (!cond)
-                throw AsmError(lineNo, "bad condition: " + condName);
-            expect(1);
-            builder.jcc(*cond, target(0));
-            continue;
+                throw AsmError(lineNo, "bad condition: " + name);
+            inst.sub = static_cast<std::uint8_t>(*cond);
         }
 
-        if (mnemonic == "nop") { expect(0); builder.nop(); }
-        else if (mnemonic == "halt") { expect(0); builder.halt(); }
-        else if (mnemonic == "movi") {
-            expect(2);
-            if (ops[1].kind == Operand::Kind::Name)
-                builder.leaLabel(reg(0), target(1));
+        // Operands by format. An address operand may be a label, whose
+        // address the builder patches in at finish().
+        std::optional<ProgramBuilder::Label> label;
+        auto immOrLabel = [&](std::size_t i) {
+            if (ops[i].kind == Operand::Kind::Name)
+                label = labelFor(ops[i].name);
             else
-                builder.movi(reg(0), static_cast<std::uint64_t>(imm(1)));
-        }
-        else if (mnemonic == "mov") { expect(2); builder.mov(reg(0), reg(1)); }
-        else if (mnemonic == "add") { expect(3); builder.add(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "sub") { expect(3); builder.sub(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "mul") { expect(3); builder.mul(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "div") { expect(3); builder.div(reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "rem") { expect(3); builder.alu(Opcode::Rem, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "and") { expect(3); builder.alu(Opcode::And, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "or")  { expect(3); builder.alu(Opcode::Or, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "xor") { expect(3); builder.alu(Opcode::Xor, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "shl") { expect(3); builder.alu(Opcode::Shl, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "shr") { expect(3); builder.alu(Opcode::Shr, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "sar") { expect(3); builder.alu(Opcode::Sar, reg(0), reg(1), reg(2)); }
-        else if (mnemonic == "addi") { expect(3); builder.addi(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "subi") { expect(3); builder.subi(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "muli") { expect(3); builder.muli(reg(0), reg(1), imm(2)); }
-        else if (mnemonic == "divi") { expect(3); builder.aluImm(Opcode::DivI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "andi") { expect(3); builder.andi(reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "ori")  { expect(3); builder.aluImm(Opcode::OrI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "xori") { expect(3); builder.aluImm(Opcode::XorI, reg(0), reg(1), static_cast<std::uint64_t>(imm(2))); }
-        else if (mnemonic == "shli") { expect(3); builder.shli(reg(0), reg(1), static_cast<unsigned>(imm(2))); }
-        else if (mnemonic == "shri") { expect(3); builder.shri(reg(0), reg(1), static_cast<unsigned>(imm(2))); }
-        else if (mnemonic == "cmp") { expect(2); builder.cmp(reg(0), reg(1)); }
-        else if (mnemonic == "cmpi") { expect(2); builder.cmpi(reg(0), imm(1)); }
-        else if (mnemonic == "push") { expect(1); builder.push(reg(0)); }
-        else if (mnemonic == "pop") { expect(1); builder.pop(reg(0)); }
-        else if (mnemonic == "lea") {
-            expect(2);
-            const Operand &m = mem(1);
-            builder.lea(reg(0), m.reg, m.imm);
-        }
-        else if (mnemonic == "jmp") {
+                inst.imm = static_cast<std::uint64_t>(imm(i));
+        };
+        auto memRef = [&](std::size_t i, bool displacement) {
+            const Operand &m = mem(i);
+            if (!displacement && m.imm != 0)
+                throw AsmError(lineNo,
+                               mnemonic + " does not take a displacement");
+            inst.rs1 = static_cast<std::uint8_t>(m.reg);
+            inst.imm = static_cast<std::uint64_t>(m.imm);
+        };
+        auto rd = [&](std::size_t i) { inst.rd = std::uint8_t(reg(i)); };
+        auto rs1 = [&](std::size_t i) { inst.rs1 = std::uint8_t(reg(i)); };
+        auto rs2 = [&](std::size_t i) { inst.rs2 = std::uint8_t(reg(i)); };
+        switch (format) {
+          case Format::None:
+            expect(0);
+            break;
+          case Format::Rd:
             expect(1);
-            if (ops[0].kind == Operand::Kind::Name)
-                builder.jmp(target(0));
-            else if (ops[0].kind == Operand::Kind::Reg)
-                builder.jmpr(reg(0));
-            else
-                builder.jmpAbs(static_cast<VAddr>(imm(0)));
-        }
-        else if (mnemonic == "call") {
+            rd(0);
+            break;
+          case Format::Rs:
             expect(1);
+            rs1(0);
+            break;
+          case Format::RdRs:
+            expect(2);
+            rd(0);
+            rs1(1);
+            break;
+          case Format::RdRsRs:
+            expect(3);
+            rd(0);
+            rs1(1);
+            rs2(2);
+            break;
+          case Format::RdRsImm:
+            expect(3);
+            rd(0);
+            rs1(1);
+            inst.imm = static_cast<std::uint64_t>(imm(2));
+            break;
+          case Format::RdImm:
+            expect(2);
+            rd(0);
+            immOrLabel(1);
+            break;
+          case Format::RsRs:
+            expect(2);
+            rs1(0);
+            rs2(1);
+            break;
+          case Format::RsImm:
+            expect(2);
+            rs1(0);
+            inst.imm = static_cast<std::uint64_t>(imm(1));
+            break;
+          case Format::Load:
+          case Format::RdMem:
+            expect(2);
+            rd(0);
+            memRef(1, true);
+            break;
+          case Format::Store:
+            expect(2);
+            memRef(0, true);
+            rs2(1);
+            break;
+          case Format::RdAt:
+            expect(2);
+            rd(0);
+            memRef(1, false);
+            break;
+          case Format::RdAtRs:
+            expect(3);
+            rd(0);
+            memRef(1, false);
+            rs2(2);
+            break;
+          case Format::Target:
+            expect(1);
+            if (ops[0].kind == Operand::Kind::Reg) {
+                // `jmp rN` / `call rN`: the register-indirect forms.
+                inst.op = inst.op == Opcode::Jmp ? Opcode::JmpR
+                                                 : Opcode::CallR;
+                rs1(0);
+            } else {
+                immOrLabel(0);
+            }
+            break;
+          case Format::CondTarget:
+            expect(1);
+            immOrLabel(0);
+            break;
+          case Format::Imm:
+            expect(1);
+            inst.imm = static_cast<std::uint64_t>(imm(0));
+            break;
+          case Format::ImmRs:
+            if (ops.empty() || ops.size() > 2)
+                throw AsmError(lineNo, mnemonic + ": 1 or 2 operands");
+            inst.imm = static_cast<std::uint64_t>(imm(0));
+            if (ops.size() == 2)
+                rs1(1);
+            break;
+          case Format::Signal:
+            expect(3);
+            rs1(0);
+            rs2(1);
+            rd(2);
+            break;
+          case Format::Monitor: {
+            expect(2);
+            std::optional<Scenario> sc;
             if (ops[0].kind == Operand::Kind::Name)
-                builder.call(target(0));
-            else if (ops[0].kind == Operand::Kind::Reg)
-                builder.callr(reg(0));
-            else
-                builder.callAbs(static_cast<VAddr>(imm(0)));
-        }
-        else if (mnemonic == "ret") { expect(0); builder.ret(); }
-        else if (mnemonic == "xchg") {
-            expect(2);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "xchg does not take a displacement");
-            builder.xchg(reg(0), m.reg);
-        }
-        else if (mnemonic == "cmpxchg") {
-            expect(3);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "cmpxchg does not take a displacement");
-            builder.cmpxchg(reg(0), m.reg, reg(2));
-        }
-        else if (mnemonic == "fetchadd") {
-            expect(3);
-            const Operand &m = mem(1);
-            if (m.imm != 0)
-                throw AsmError(lineNo, "fetchadd does not take a displacement");
-            builder.fetchadd(reg(0), m.reg, reg(2));
-        }
-        else if (mnemonic == "pause") { expect(0); builder.pause(); }
-        else if (mnemonic == "compute") {
-            if (ops.size() == 1)
-                builder.compute(static_cast<std::uint64_t>(imm(0)));
-            else if (ops.size() == 2)
-                builder.compute(static_cast<std::uint64_t>(imm(0)), reg(1));
-            else
-                throw AsmError(lineNo, "compute: 1 or 2 operands");
-        }
-        else if (mnemonic == "syscall") { expect(1); builder.syscall(static_cast<std::uint64_t>(imm(0))); }
-        else if (mnemonic == "rtcall") { expect(1); builder.rtcall(static_cast<std::uint64_t>(imm(0))); }
-        else if (mnemonic == "seqid") { expect(1); builder.seqid(reg(0)); }
-        else if (mnemonic == "numseq") { expect(1); builder.numseq(reg(0)); }
-        else if (mnemonic == "rdtick") { expect(1); builder.rdtick(reg(0)); }
-        else if (mnemonic == "signal") {
-            expect(3);
-            builder.signal(reg(0), reg(1), reg(2));
-        }
-        else if (mnemonic == "semonitor") {
-            expect(2);
-            if (ops[0].kind != Operand::Kind::Name)
-                throw AsmError(lineNo, "semonitor: first operand is a scenario name");
-            auto sc = scenarioFromName(ops[0].name);
+                sc = scenarioFromName(ops[0].name);
+            else if (ops[0].kind == Operand::Kind::Imm && ops[0].imm >= 0 &&
+                     ops[0].imm < static_cast<std::int64_t>(
+                                      Scenario::NumScenarios))
+                sc = static_cast<Scenario>(ops[0].imm);
             if (!sc)
-                throw AsmError(lineNo, "bad scenario: " + ops[0].name);
-            builder.semonitor(*sc, target(1));
+                throw AsmError(lineNo, mnemonic + ": bad scenario");
+            inst.sub = static_cast<std::uint8_t>(*sc);
+            immOrLabel(1);
+            break;
+          }
         }
-        else if (mnemonic == "yret") { expect(0); builder.yret(); }
-        else {
-            throw AsmError(lineNo, "unknown mnemonic: " + mnemonic);
-        }
+        if (label)
+            builder.raw(inst, *label);
+        else
+            builder.raw(inst);
     }
 
     // finish() resolves fixups; an unbound label means a typo in the

@@ -24,8 +24,12 @@
  *       halt
  * @endcode
  *
+ * Mnemonics and operand formats come from the opcode table (isa.hh).
  * Numeric immediates accept decimal, hex (0x..) and negative values.
  * Label operands may be used wherever an immediate address is expected.
+ * `jmp rN` / `call rN` assemble the register forms (jmpr / callr), and
+ * the output of isa::disassemble() assembles back to the same
+ * instruction.
  */
 
 #ifndef MISP_ISA_ASSEMBLER_HH

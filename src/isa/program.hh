@@ -132,6 +132,12 @@ class ProgramBuilder
 
     /** Append a raw instruction (escape hatch for tests). */
     void raw(const Instruction &inst) { emit(inst); }
+    /** Append a raw instruction whose imm becomes the address of
+     *  @p label (the assembler's label operands). */
+    void raw(const Instruction &inst, Label label)
+    {
+        emitWithFixup(inst, label);
+    }
 
     /** Resolve labels against @p base and produce the image. */
     Program finish(VAddr base);

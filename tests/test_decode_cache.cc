@@ -32,7 +32,7 @@ namespace {
 /** One-sequencer machine with a writable code region (SMC tests). */
 struct Machine : harness::BareMachine {
     Machine(const std::string &src,
-            cpu::Engine engine = cpu::Engine::Cache)
+            cpu::Engine engine = cpu::Engine::Superblock)
         : harness::BareMachine(src, engine, /*writableCode=*/true)
     {}
 };
@@ -54,7 +54,7 @@ const char *kSmcSrc = R"(
 
 TEST(DecodeCacheCoherence, SelfModifyingStoreForcesRedecode)
 {
-    Machine m(kSmcSrc, cpu::Engine::Cache);
+    Machine m(kSmcSrc);
     m.run();
     // Stale predecode would execute movi r0, 111.
     EXPECT_EQ(m.reg(0), 222u);
@@ -67,16 +67,12 @@ TEST(DecodeCacheCoherence, SmcMatchesReferencePathBitExactly)
     Machine ref(kSmcSrc, cpu::Engine::Reference);
     ref.run();
     EXPECT_EQ(ref.reg(0), 222u);
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
-        Machine m(kSmcSrc, engine);
-        m.run();
-        EXPECT_EQ(m.reg(0), 222u) << cpu::engineName(engine);
-        EXPECT_EQ(m.eq.curTick(), ref.eq.curTick())
-            << cpu::engineName(engine);
-        EXPECT_EQ(m.seq.instsRetired(), ref.seq.instsRetired());
-        EXPECT_EQ(m.seq.busyCycles(), ref.seq.busyCycles());
-    }
+    Machine m(kSmcSrc, cpu::Engine::Superblock);
+    m.run();
+    EXPECT_EQ(m.reg(0), 222u);
+    EXPECT_EQ(m.eq.curTick(), ref.eq.curTick());
+    EXPECT_EQ(m.seq.instsRetired(), ref.seq.instsRetired());
+    EXPECT_EQ(m.seq.busyCycles(), ref.seq.busyCycles());
 }
 
 TEST(DecodeCacheCoherence, HostPokeInvalidatesDecodedPage)
@@ -86,21 +82,18 @@ TEST(DecodeCacheCoherence, HostPokeInvalidatesDecodedPage)
             movi r0, 1
             halt
     )";
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
-        Machine m(src, engine);
-        m.run();
-        EXPECT_EQ(m.reg(0), 1u) << cpu::engineName(engine);
+    Machine m(src, cpu::Engine::Superblock);
+    m.run();
+    EXPECT_EQ(m.reg(0), 1u);
 
-        // Host-side rewrite of the first instruction's immediate (the
-        // path loaders and runtimes use), then re-run from the same
-        // address.
-        Word newImm = 7;
-        m.as.pokeWord(m.prog.symbol("main") + 8, newImm, 8);
-        EXPECT_GE(m.as.decodeCache().invalidations(), 1u);
-        m.run();
-        EXPECT_EQ(m.reg(0), 7u) << cpu::engineName(engine);
-    }
+    // Host-side rewrite of the first instruction's immediate (the
+    // path loaders and runtimes use), then re-run from the same
+    // address.
+    Word newImm = 7;
+    m.as.pokeWord(m.prog.symbol("main") + 8, newImm, 8);
+    EXPECT_GE(m.as.decodeCache().invalidations(), 1u);
+    m.run();
+    EXPECT_EQ(m.reg(0), 7u);
 }
 
 TEST(DecodeCacheCoherence, AddressSpaceSwitchNeverReusesBlocks)
@@ -110,7 +103,7 @@ TEST(DecodeCacheCoherence, AddressSpaceSwitchNeverReusesBlocks)
     const char *srcA = "main:\n    movi r0, 1\n    halt\n";
     const char *srcB = "main:\n    movi r0, 2\n    halt\n";
 
-    Machine m(srcA, cpu::Engine::Cache);
+    Machine m(srcA);
     mem::AddressSpace other("q", m.pmem);
     isa::Program progB = isa::assemble(srcB, 0x40'0000);
     other.defineRegion(progB.base, progB.byteSize() + 64, false, "code",
@@ -145,7 +138,7 @@ TEST(DecodeCacheCoherence, SerializationPurgeResyncsWithMemory)
             movi r0, 1
             halt
     )";
-    Machine m(src, cpu::Engine::Cache);
+    Machine m(src);
     m.run();
     EXPECT_EQ(m.reg(0), 1u);
 
@@ -189,14 +182,13 @@ TEST(DecodeCacheCoherence, FullSystemIdenticalUnderSpeculativeMonitor)
     };
 
     Tick ref = runOnce(cpu::Engine::Reference);
-    EXPECT_EQ(runOnce(cpu::Engine::Cache), ref);
     EXPECT_EQ(runOnce(cpu::Engine::Superblock), ref);
 }
 
 // ---------------------------------------------------------------------
 // Chained-superblock invalidation: a block *linked from* a hot chain
-// must not be reachable stale. Each scenario compares all three
-// engines tick-for-tick, so a chain that survived an invalidation
+// must not be reachable stale. Each scenario compares both engines
+// tick-for-tick, so a chain that survived an invalidation
 // would show up as an architectural or timing divergence.
 // ---------------------------------------------------------------------
 
@@ -264,21 +256,16 @@ TEST(SuperblockChain, SmcIntoLinkedSuccessorBreaksChain)
     EXPECT_EQ(ref.reg(1), 6u);
     EXPECT_EQ(ref.reg(3), 999u); // stale chain would leave 111
 
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
-        Machine m(src, engine);
-        m.run();
-        EXPECT_EQ(m.reg(3), 999u) << cpu::engineName(engine);
-        EXPECT_EQ(m.reg(1), 6u) << cpu::engineName(engine);
-        EXPECT_EQ(m.eq.curTick(), ref.eq.curTick())
-            << cpu::engineName(engine);
-        EXPECT_EQ(m.seq.instsRetired(), ref.seq.instsRetired());
-        EXPECT_EQ(m.seq.busyCycles(), ref.seq.busyCycles());
-        // The store really dropped a decoded page (the linked target's).
-        EXPECT_GE(m.as.decodeCache().invalidations(), 1u)
-            << cpu::engineName(engine);
-        EXPECT_GT(m.seq.decodeCacheHits(), 0u) << cpu::engineName(engine);
-    }
+    Machine m(src, cpu::Engine::Superblock);
+    m.run();
+    EXPECT_EQ(m.reg(3), 999u);
+    EXPECT_EQ(m.reg(1), 6u);
+    EXPECT_EQ(m.eq.curTick(), ref.eq.curTick());
+    EXPECT_EQ(m.seq.instsRetired(), ref.seq.instsRetired());
+    EXPECT_EQ(m.seq.busyCycles(), ref.seq.busyCycles());
+    // The store really dropped a decoded page (the linked target's).
+    EXPECT_GE(m.as.decodeCache().invalidations(), 1u);
+    EXPECT_GT(m.seq.decodeCacheHits(), 0u);
 }
 
 TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
@@ -295,8 +282,7 @@ TEST(SuperblockChain, Cr3SwitchMidChainDropsLinkedBlocks)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(srcA, engine);
         mem::AddressSpace other("q", m.pmem);
         isa::Program progB = isa::assemble(srcB, 0x40'0000);
@@ -330,7 +316,7 @@ TEST(SuperblockChain, SerializationPurgeMidChain)
     // MISP serialization purge while the chain is hot: at a fixed tick
     // a Ring-0 episode rewrites the loop body's immediate behind the
     // sequencer, then the serialization engine flushes the TLB and
-    // drops the decoded block before resuming. All engines must resync
+    // drops the decoded block before resuming. Both engines must resync
     // identically mid-loop.
     std::string src = chainLoopSrc(5, 4000);
 
@@ -338,8 +324,7 @@ TEST(SuperblockChain, SerializationPurgeMidChain)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(src, engine);
         m.start();
         m.eq.run(3000);
@@ -392,8 +377,7 @@ TEST(SuperblockChain, CrossSpaceReplayWindowsNeverSurviveSwitch)
     Word refR4 = 0;
     bool first = true;
     for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache,
-          cpu::Engine::Superblock}) {
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
         Machine m(src, engine);
         // Space B: identical code at the same VAs, but the data page at
         // 0x100000 holds 9 where space A's run stored 5.
@@ -528,22 +512,17 @@ TEST(DecodeCacheEquivalence, LoopKernelBitIdentical)
     Machine off(src, cpu::Engine::Reference);
     off.run();
     EXPECT_EQ(off.seq.decodeCacheHits(), 0u);
-    for (cpu::Engine engine :
-         {cpu::Engine::Cache, cpu::Engine::Superblock}) {
-        Machine on(src, engine);
-        on.run();
-        EXPECT_EQ(on.eq.curTick(), off.eq.curTick())
-            << cpu::engineName(engine);
-        EXPECT_EQ(on.seq.instsRetired(), off.seq.instsRetired());
-        EXPECT_EQ(on.seq.busyCycles(), off.seq.busyCycles());
-        EXPECT_EQ(on.seq.mmu().tlb().hits(),
-                  off.seq.mmu().tlb().hits());
-        EXPECT_EQ(on.seq.mmu().tlb().misses(),
-                  off.seq.mmu().tlb().misses());
-        EXPECT_EQ(on.seq.mmu().pageWalks(), off.seq.mmu().pageWalks());
-        EXPECT_EQ(on.reg(1), off.reg(1));
-        // The engine actually engaged.
-        EXPECT_GT(on.seq.decodeCacheHits(), 0u)
-            << cpu::engineName(engine);
-    }
+    Machine on(src, cpu::Engine::Superblock);
+    on.run();
+    EXPECT_EQ(on.eq.curTick(), off.eq.curTick());
+    EXPECT_EQ(on.seq.instsRetired(), off.seq.instsRetired());
+    EXPECT_EQ(on.seq.busyCycles(), off.seq.busyCycles());
+    EXPECT_EQ(on.seq.mmu().tlb().hits(),
+              off.seq.mmu().tlb().hits());
+    EXPECT_EQ(on.seq.mmu().tlb().misses(),
+              off.seq.mmu().tlb().misses());
+    EXPECT_EQ(on.seq.mmu().pageWalks(), off.seq.mmu().pageWalks());
+    EXPECT_EQ(on.reg(1), off.reg(1));
+    // The engine actually engaged.
+    EXPECT_GT(on.seq.decodeCacheHits(), 0u);
 }

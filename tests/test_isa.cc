@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
 #include "isa/program.hh"
@@ -13,6 +15,77 @@
 
 using namespace misp;
 using namespace misp::isa;
+
+namespace {
+
+/** A random well-formed @p op instruction: any registers and
+ *  immediate, and a `sub` legal for the opcode's format. */
+Instruction
+randomInstruction(Rng &rng, Opcode op)
+{
+    Instruction inst;
+    inst.op = op;
+    inst.rd = static_cast<std::uint8_t>(rng.below(kNumRegs));
+    inst.rs1 = static_cast<std::uint8_t>(rng.below(kNumRegs));
+    inst.rs2 = static_cast<std::uint8_t>(rng.below(kNumRegs));
+    inst.imm = rng.next();
+    switch (opInfo(inst.op).format) {
+      case Format::Load:
+      case Format::Store:
+        inst.sub = static_cast<std::uint8_t>(1u << rng.below(4));
+        break;
+      case Format::CondTarget:
+        inst.sub = static_cast<std::uint8_t>(
+            rng.below(static_cast<std::uint64_t>(Cond::NumConds)));
+        break;
+      case Format::Monitor:
+        inst.sub = static_cast<std::uint8_t>(
+            rng.below(static_cast<std::uint64_t>(Scenario::NumScenarios)));
+        break;
+      default:
+        inst.sub = static_cast<std::uint8_t>(rng.below(256));
+        break;
+    }
+    return inst;
+}
+
+/** @p inst with every field its format does not name cleared: the
+ *  instruction the assembler produces from its disassembly. */
+Instruction
+canonical(Instruction inst)
+{
+    bool rd = false, rs1 = false, rs2 = false, sub = false, imm = false;
+    switch (opInfo(inst.op).format) {
+      case Format::None: break;
+      case Format::Rd: rd = true; break;
+      case Format::Rs: rs1 = true; break;
+      case Format::RdRs: rd = rs1 = true; break;
+      case Format::RdRsRs: rd = rs1 = rs2 = true; break;
+      case Format::RdRsImm: rd = rs1 = imm = true; break;
+      case Format::RdImm: rd = imm = true; break;
+      case Format::RsRs: rs1 = rs2 = true; break;
+      case Format::RsImm: rs1 = imm = true; break;
+      case Format::Load: rd = rs1 = imm = sub = true; break;
+      case Format::Store: rs1 = rs2 = imm = sub = true; break;
+      case Format::RdMem: rd = rs1 = imm = true; break;
+      case Format::RdAt: rd = rs1 = true; break;
+      case Format::RdAtRs: rd = rs1 = rs2 = true; break;
+      case Format::Target: imm = true; break;
+      case Format::CondTarget: sub = imm = true; break;
+      case Format::Imm: imm = true; break;
+      case Format::ImmRs: imm = rs1 = true; break;
+      case Format::Signal: rd = rs1 = rs2 = true; break;
+      case Format::Monitor: sub = imm = true; break;
+    }
+    if (!rd) inst.rd = 0;
+    if (!rs1) inst.rs1 = 0;
+    if (!rs2) inst.rs2 = 0;
+    if (!sub) inst.sub = 0;
+    if (!imm) inst.imm = 0;
+    return inst;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // Encode/decode
@@ -23,14 +96,9 @@ TEST(IsaEncoding, RoundTripProperty)
     // Property: decode(encode(i)) == i for every well-formed instruction.
     Rng rng(2024);
     for (int trial = 0; trial < 2000; ++trial) {
-        Instruction inst;
-        inst.op = static_cast<Opcode>(
-            rng.below(static_cast<std::uint64_t>(Opcode::NumOpcodes)));
-        inst.rd = static_cast<std::uint8_t>(rng.below(kNumRegs));
-        inst.rs1 = static_cast<std::uint8_t>(rng.below(kNumRegs));
-        inst.rs2 = static_cast<std::uint8_t>(rng.below(kNumRegs));
-        inst.sub = static_cast<std::uint8_t>(rng.below(8));
-        inst.imm = rng.next();
+        const Instruction inst = randomInstruction(
+            rng, static_cast<Opcode>(rng.below(
+                     static_cast<std::uint64_t>(Opcode::NumOpcodes))));
         auto bytes = encode(inst);
         Instruction out;
         ASSERT_TRUE(decode(bytes.data(), &out));
@@ -57,6 +125,36 @@ TEST(IsaEncoding, RejectsBadRegister)
     EXPECT_FALSE(decode(bytes.data(), &out));
 }
 
+// Malformed `sub` fields: decode rejects them (the sequencer then
+// raises InvalidOpcode) instead of handing the executor a memory size
+// the MMU cannot serve, a condition no flag test matches, or a trigger
+// index past the end of the trigger table.
+TEST(IsaEncoding, RejectsSubOutOfRangeForFormat)
+{
+    auto decodes = [](Opcode op, std::uint8_t sub) {
+        Instruction inst{op, 1, 2, 3, sub, 0x1000};
+        auto bytes = encode(inst);
+        Instruction out;
+        return decode(bytes.data(), &out);
+    };
+    for (Opcode op : {Opcode::Ld, Opcode::St}) {
+        for (unsigned size = 0; size < 256; ++size) {
+            const bool legal =
+                size == 1 || size == 2 || size == 4 || size == 8;
+            EXPECT_EQ(decodes(op, std::uint8_t(size)), legal)
+                << opcodeName(op) << " size " << size;
+        }
+    }
+    for (unsigned cond = 0; cond < 256; ++cond)
+        EXPECT_EQ(decodes(Opcode::Jcc, std::uint8_t(cond)), cond < 8)
+            << "cond " << cond;
+    for (unsigned sc = 0; sc < 256; ++sc)
+        EXPECT_EQ(decodes(Opcode::Semonitor, std::uint8_t(sc)), sc < 2)
+            << "scenario " << sc;
+    // Other formats do not read `sub`.
+    EXPECT_TRUE(decodes(Opcode::Add, 0xFF));
+}
+
 TEST(IsaLatency, EveryOpcodeHasNonzeroLatency)
 {
     for (unsigned op = 0;
@@ -73,11 +171,65 @@ TEST(IsaLatency, RelativeCostsSane)
     EXPECT_GT(baseLatency(Opcode::CmpXchg), baseLatency(Opcode::Ld));
 }
 
+// Every table row's latency, pinned to the literal cost model (the
+// simulated results of every scenario depend on these numbers).
+TEST(IsaLatency, TableRowsPinned)
+{
+    const Cycles kExpected[] = {
+        1,  1,  1,  1,              // nop halt movi mov
+        1,  1,  3,  20, 20,         // add sub mul div rem
+        1,  1,  1,  1,  1,  1,      // and or xor shl shr sar
+        1,  1,  3,  20,             // addi subi muli divi
+        1,  1,  1,  1,  1,          // andi ori xori shli shri
+        1,  1,                      // cmp cmpi
+        1,  1,  1,  1,  1,          // ld st push pop lea
+        2,  2,  2,  3,  3,  3,      // jmp jmpr jcc call callr ret
+        20, 20, 20, 10, 1,          // xchg cmpxchg fetchadd pause compute
+        10, 5,                      // syscall rtcall
+        1,  1,  1,                  // seqid numseq rdtick
+        2,  2,  3,                  // signal semonitor yret
+    };
+    ASSERT_EQ(std::size(kExpected),
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+    for (unsigned op = 0; op < std::size(kExpected); ++op)
+        EXPECT_EQ(baseLatency(static_cast<Opcode>(op)), kExpected[op])
+            << opcodeName(static_cast<Opcode>(op));
+}
+
 TEST(IsaNames, AllOpcodesNamed)
 {
     for (unsigned op = 0;
          op < static_cast<unsigned>(Opcode::NumOpcodes); ++op) {
         EXPECT_STRNE(opcodeName(static_cast<Opcode>(op)), "???");
+        for (unsigned other = 0; other < op; ++other)
+            EXPECT_STRNE(opcodeName(static_cast<Opcode>(op)),
+                         opcodeName(static_cast<Opcode>(other)));
+    }
+    EXPECT_STREQ(opcodeName(Opcode::NumOpcodes), "???");
+}
+
+// Every table row round-trips through text: assembling the
+// disassembly of an instruction gives back the instruction (with the
+// fields its format does not use cleared).
+TEST(IsaNames, DisassemblyAssemblesBack)
+{
+    Rng rng(77);
+    for (unsigned op = 0;
+         op < static_cast<unsigned>(Opcode::NumOpcodes); ++op) {
+        for (int trial = 0; trial < 20; ++trial) {
+            Instruction inst =
+                randomInstruction(rng, static_cast<Opcode>(op));
+            if (trial % 2 == 0) // small immediates too, both signs
+                inst.imm = rng.next() % 512 - 256;
+            const Instruction want = canonical(inst);
+            const std::string text = disassemble(want);
+            Program prog;
+            ASSERT_NO_THROW(prog = assemble("main: " + text + "\n", 0))
+                << text;
+            ASSERT_EQ(prog.insts.size(), 1u) << text;
+            EXPECT_EQ(prog.insts[0], want) << text << " -> "
+                                           << disassemble(prog.insts[0]);
+        }
     }
 }
 
@@ -89,6 +241,12 @@ TEST(IsaDisasm, RendersRepresentativeForms)
     EXPECT_EQ(disassemble(ld), "ld8 r2, [r5+16]");
     Instruction sig{Opcode::Signal, 3, 1, 2, 0, 0};
     EXPECT_EQ(disassemble(sig), "signal sid=r1, eip=r2, esp=r3");
+    Instruction st{Opcode::St, 0, 4, 6, 2, static_cast<std::uint64_t>(-8)};
+    EXPECT_EQ(disassemble(st), "st2 [r4-8], r6");
+    Instruction jcc{Opcode::Jcc, 0, 0, 0, 5, 0x400010};
+    EXPECT_EQ(disassemble(jcc), "jcc.ge 0x400010");
+    Instruction comp{Opcode::Compute, 0, 7, 0, 0, 100};
+    EXPECT_EQ(disassemble(comp), "compute 100, r7");
 }
 
 // ---------------------------------------------------------------------

@@ -171,7 +171,7 @@ TEST(Scenario, MachineKnobsMapToSystemConfig)
     Scenario sc = mustScenario("[machine m]\n"
                                "processors = 3,0\n"
                                "backend = os\n"
-                               "decode_cache = off\n"
+                               "engine = ref\n"
                                "signal_cycles = 500\n"
                                "slice_limit = 8\n"
                                "serialization = speculative_monitor\n"
@@ -257,7 +257,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
                                "competitors = 0..1\n"
                                "[quick]\n"
                                "workload.name = gauss\n"
-                               "machine.decode_cache = off\n");
+                               "machine.engine = ref\n");
 
     std::vector<ScenarioPoint> pts;
     std::string err;
@@ -274,7 +274,7 @@ TEST(Scenario, SweepExpansionOrderAndOverrides)
     EXPECT_EQ(pts[0].machine.engine, cpu::Engine::Superblock);
     EXPECT_EQ(pts[0].coordString(), "workload.name=swim competitors=0");
 
-    // Quick mode: workload axis replaced, machine.decode_cache knob
+    // Quick mode: workload axis replaced, machine.engine knob
     // appended as a single-value axis.
     ASSERT_TRUE(sc.expandPoints(true, &pts, &err)) << err;
     ASSERT_EQ(pts.size(), 4u);
@@ -551,25 +551,38 @@ TEST(RunnerEquivalence, EveryEngineIsBitIdentical)
     std::vector<ScenarioPoint> pts;
     std::string err;
     ASSERT_TRUE(sc.expandPoints(false, &pts, &err));
-    for (cpu::Engine engine :
-         {cpu::Engine::Reference, cpu::Engine::Cache}) {
-        ScenarioRunner::Options opts;
-        opts.hostLines = false;
-        opts.forceEngine = true;
-        opts.engine = engine;
-        std::vector<PointResult> leg =
-            ScenarioRunner(opts).runAll(sc, pts);
+    // Forced leg: the reference engine.
+    ScenarioRunner::Options opts;
+    opts.hostLines = false;
+    opts.forceEngine = true;
+    opts.engine = cpu::Engine::Reference;
+    std::vector<PointResult> leg = ScenarioRunner(opts).runAll(sc, pts);
 
-        ASSERT_EQ(base.size(), leg.size());
-        EXPECT_EQ(base[0].run.ticks, leg[0].run.ticks)
-            << cpu::engineName(engine);
-        EXPECT_EQ(base[0].run.instsRetired, leg[0].run.instsRetired)
-            << cpu::engineName(engine);
-        EXPECT_EQ(base[0].run.events.omsSyscalls,
-                  leg[0].run.events.omsSyscalls);
-        EXPECT_EQ(base[0].run.events.serializations,
-                  leg[0].run.events.serializations);
+    ASSERT_EQ(base.size(), leg.size());
+    EXPECT_EQ(base[0].run.ticks, leg[0].run.ticks);
+    EXPECT_EQ(base[0].run.instsRetired, leg[0].run.instsRetired);
+    EXPECT_EQ(base[0].run.events.omsSyscalls,
+              leg[0].run.events.omsSyscalls);
+    EXPECT_EQ(base[0].run.events.serializations,
+              leg[0].run.events.serializations);
+}
+
+TEST(Scenario, EngineKnobTakesExactlyTwoNames)
+{
+    std::string err;
+    MachineSpec m;
+    EXPECT_TRUE(m.apply("engine", "ref", &err)) << err;
+    EXPECT_EQ(m.engine, cpu::Engine::Reference);
+    EXPECT_TRUE(m.apply("engine", "superblock", &err)) << err;
+    EXPECT_EQ(m.engine, cpu::Engine::Superblock);
+    // The removed `cache` tier, the retired `reference`/`sb` spellings,
+    // and the removed boolean `decode_cache` knob are all rejected.
+    for (const char *bad : {"cache", "reference", "sb"}) {
+        EXPECT_FALSE(m.apply("engine", bad, &err)) << bad;
+        EXPECT_NE(err.find("'ref' or 'superblock'"), std::string::npos)
+            << err;
     }
+    EXPECT_FALSE(m.apply("decode_cache", "off", &err));
 }
 
 // ---------------------------------------------------------------------

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cpu/sequencer.hh"
 #include "isa/assembler.hh"
+#include "isa/program.hh"
 #include "mem/address_space.hh"
 #include "sim/event_queue.hh"
 
@@ -525,4 +529,235 @@ TEST_F(SequencerTest, InstructionCountsTracked)
     runToCompletion(entry);
     EXPECT_EQ(seq.instsRetired(), 4u);
     EXPECT_GT(seq.busyCycles(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Both engines: literal ALU semantics, malformed encodings
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A one-sequencer machine running @p prog under @p engine, with the
+ *  recording TestEnv. */
+struct EngineRig {
+    EventQueue eq;
+    mem::PhysicalMemory pmem{1 << 14};
+    stats::StatGroup root{""};
+    mem::AddressSpace as{"p", pmem};
+    TestEnv env{as};
+    Sequencer seq{"seq0", 0, true, eq, pmem, &root};
+
+    EngineRig(Engine engine, const isa::Program &prog)
+    {
+        seq.setEnv(&env);
+        seq.setEngine(engine);
+        seq.mmu().setAddressSpace(&as);
+        as.defineRegion(0x10'0000, 16 * mem::kPageSize, true, "stack");
+        as.defineRegion(prog.base, prog.byteSize() + 64, false, "code",
+                        prog.bytes());
+        // Resident code: no demand fault splits the run into slices, so
+        // RDTICK reads the start tick.
+        EXPECT_EQ(as.handleFault(prog.base, false), mem::FaultOutcome::Paged);
+    }
+
+    void
+    run(VAddr entry)
+    {
+        seq.startAt(entry, 0x10'0000 + 16 * mem::kPageSize - 64);
+        eq.run();
+    }
+};
+
+constexpr Engine kEngines[] = {Engine::Reference, Engine::Superblock};
+
+constexpr Word kUntouched = 0xDEAD;
+constexpr isa::Flags kPreset{true, false, true, false}; // zf, cf set
+constexpr Tick kClock = 12345;
+
+Word
+sw(std::int64_t v)
+{
+    return static_cast<Word>(v);
+}
+
+/** One instruction with hand-computed results: r5 after it runs, the
+ *  flags, and its execution cycles (base latency + COMPUTE burst). */
+struct AluCase {
+    const char *text;
+    Word r3;
+    Word r4;
+    Word r5;
+    isa::Flags flags;
+    Cycles cycles;
+};
+
+struct AluRun {
+    Word r5;
+    isa::Flags flags;
+    Tick busy;
+    std::uint64_t retired;
+};
+
+/** Run `text; halt` with r3/r4 preset, r5 = kUntouched, flags =
+ *  kPreset, and the clock at kClock. */
+AluRun
+runAlu(Engine engine, const std::string &text, Word r3, Word r4)
+{
+    const isa::Program prog =
+        isa::assemble("main:\n    " + text + "\n    halt\n", 0x40'0000);
+    EngineRig rig(engine, prog);
+    rig.eq.setClock(kClock, 0, 0);
+    SequencerContext &ctx = rig.seq.context();
+    ctx.regs[3] = r3;
+    ctx.regs[4] = r4;
+    ctx.regs[5] = kUntouched;
+    ctx.flags = kPreset;
+    rig.run(prog.base);
+    EXPECT_EQ(rig.env.halts, 1) << text; // ran to its HALT
+    return {ctx.regs[5], ctx.flags, rig.seq.busyCycles(),
+            rig.seq.instsRetired()};
+}
+
+} // namespace
+
+// Every Inline-class opcode plus div/rem/divi, pinned to literal
+// values under both engines. The engines share one definition of these
+// ops, so the differential fuzzer cannot catch a wrong result; this
+// table can.
+TEST(SequencerAluSemantics, LiteralResultsUnderBothEngines)
+{
+    using F = isa::Flags;
+    const Word kMin = 0x8000'0000'0000'0000ull;
+    const Word kMax = 0x7FFF'FFFF'FFFF'FFFFull;
+    const AluCase kCases[] = {
+        {"nop", 1, 2, kUntouched, kPreset, 1},
+        {"pause", 1, 2, kUntouched, kPreset, 10},
+        {"movi r5, -5", 0, 0, sw(-5), kPreset, 1},
+        {"mov r5, r3", 0x1234, 0, 0x1234, kPreset, 1},
+        {"add r5, r3, r4", ~0ull, 2, 1, kPreset, 1},
+        {"sub r5, r3, r4", 1, 2, ~0ull, kPreset, 1},
+        {"mul r5, r3, r4", kMin + 1, 3, kMin + 3, kPreset, 3},
+        {"div r5, r3, r4", sw(-7), 2, sw(-3), kPreset, 20},
+        {"rem r5, r3, r4", sw(-7), 2, sw(-1), kPreset, 20},
+        {"rem r5, r3, r4", 7, sw(-2), 1, kPreset, 20},
+        {"and r5, r3, r4", 0xF0F0, 0xFF00, 0xF000, kPreset, 1},
+        {"or r5, r3, r4", 0xF0F0, 0xFF00, 0xFFF0, kPreset, 1},
+        {"xor r5, r3, r4", 0xF0F0, 0xFF00, 0x0FF0, kPreset, 1},
+        {"shl r5, r3, r4", 1, 65, 2, kPreset, 1},
+        {"shl r5, r3, r4", 3, 63, kMin, kPreset, 1},
+        {"shr r5, r3, r4", kMin, 64, kMin, kPreset, 1},
+        {"shr r5, r3, r4", kMin, 63, 1, kPreset, 1},
+        {"sar r5, r3, r4", sw(-16), 2, sw(-4), kPreset, 1},
+        {"sar r5, r3, r4", kMin, 127, ~0ull, kPreset, 1},
+        {"addi r5, r3, -6", 5, 0, sw(-1), kPreset, 1},
+        {"subi r5, r3, 6", 5, 0, sw(-1), kPreset, 1},
+        {"muli r5, r3, 7", sw(-3), 0, sw(-21), kPreset, 3},
+        {"divi r5, r3, -2", 7, 0, sw(-3), kPreset, 20},
+        {"divi r5, r3, 2", sw(-7), 0, sw(-3), kPreset, 20},
+        {"andi r5, r3, 0x0f", 0xFF, 0, 0x0F, kPreset, 1},
+        {"ori r5, r3, 0x0f", 0xF0, 0, 0xFF, kPreset, 1},
+        {"xori r5, r3, 0x0f", 0xFF, 0, 0xF0, kPreset, 1},
+        {"shli r5, r3, 66", 3, 0, 12, kPreset, 1},
+        {"shri r5, r3, 4", 0x100, 0, 0x10, kPreset, 1},
+        {"shri r5, r3, 64", 0x100, 0, 0x100, kPreset, 1},
+        // Flags: zf, sf (sign of the wrapped difference), cf (unsigned
+        // borrow), of (signed overflow).
+        {"cmp r3, r4", 1, 2, kUntouched, F{false, true, true, false}, 1},
+        {"cmp r3, r4", 5, 5, kUntouched, F{true, false, false, false}, 1},
+        {"cmp r3, r4", kMin, 1, kUntouched, F{false, false, false, true},
+         1},
+        {"cmp r3, r4", 1, ~0ull, kUntouched, F{false, false, true, false},
+         1},
+        {"cmp r3, r4", kMax, ~0ull, kUntouched, F{false, true, true, true},
+         1},
+        {"cmpi r3, -1", ~0ull, 0, kUntouched, F{true, false, false, false},
+         1},
+        {"lea r5, [r3-16]", 0x1000, 0, 0xFF0, kPreset, 1},
+        {"compute 100", 5, 0, kUntouched, kPreset, 101},
+        {"compute 100, r3", 5, 0, kUntouched, kPreset, 106},
+        {"seqid r5", 0, 0, 0, kPreset, 1},
+        {"numseq r5", 0, 0, 4, kPreset, 1},
+        {"rdtick r5", 0, 0, kClock, kPreset, 1},
+    };
+
+    // The table covers every Inline-class opcode and the divides.
+    std::vector<bool> covered(
+        static_cast<std::size_t>(isa::Opcode::NumOpcodes), false);
+    for (const AluCase &c : kCases)
+        covered[static_cast<std::size_t>(
+            isa::assemble(std::string(c.text) + "\n", 0).insts[0].op)] =
+            true;
+    for (unsigned op = 0; op < covered.size(); ++op) {
+        const auto o = static_cast<isa::Opcode>(op);
+        if (isa::opClass(o) == isa::OpClass::Inline ||
+            o == isa::Opcode::Div || o == isa::Opcode::Rem ||
+            o == isa::Opcode::DivI) {
+            EXPECT_TRUE(covered[op]) << isa::opcodeName(o);
+        }
+    }
+
+    for (Engine engine : kEngines) {
+        // Fetch costs are identical for every one-instruction program,
+        // so an op's execution cycles are its busy time over nop's
+        // plus nop's one cycle.
+        const Tick nopBusy = runAlu(engine, "nop", 0, 0).busy;
+        for (const AluCase &c : kCases) {
+            const AluRun got = runAlu(engine, c.text, c.r3, c.r4);
+            const std::string where =
+                std::string(c.text) + " under " + engineName(engine);
+            EXPECT_EQ(got.r5, c.r5) << where;
+            EXPECT_EQ(got.flags, c.flags) << where;
+            EXPECT_EQ(got.busy - nopBusy + 1, c.cycles) << where;
+            EXPECT_EQ(got.retired, 2u) << where;
+        }
+    }
+}
+
+// A `sub` field out of range for the opcode's format is a malformed
+// encoding: both engines raise InvalidOpcode at it (the host neither
+// aborts on an unservable memory size nor indexes past the trigger
+// table).
+TEST(SequencerDecode, MalformedSubFaultsInvalidOpcodeUnderBothEngines)
+{
+    using isa::Instruction;
+    using isa::Opcode;
+    const Instruction kBad[] = {
+        {Opcode::Ld, 3, 4, 0, 0, 0},
+        {Opcode::Ld, 3, 4, 0, 3, 0},
+        {Opcode::Ld, 3, 4, 0, 16, 0},
+        {Opcode::St, 0, 4, 3, 3, 0},
+        {Opcode::Jcc, 0, 0, 0, 8, 0x40'0000},
+        {Opcode::Semonitor, 0, 0, 0, 2, 0xdead0},
+    };
+    for (const Instruction &bad : kBad) {
+        isa::ProgramBuilder b;
+        b.exportHere("main");
+        b.movi(4, 0x10'0000);
+        b.raw(bad);
+        b.halt();
+        const isa::Program prog = b.finish(0x40'0000);
+        const VAddr badEip = prog.base + isa::kInstBytes;
+
+        Tick ticks[2] = {0, 0};
+        for (unsigned e = 0; e < 2; ++e) {
+            EngineRig rig(kEngines[e], prog);
+            rig.run(prog.base);
+            const std::string where = isa::disassemble(bad) + " under " +
+                                      engineName(kEngines[e]);
+            // Killed at the bad word (TestEnv kills on InvalidOpcode),
+            // never reaching its HALT.
+            EXPECT_EQ(rig.env.halts, 0) << where;
+            EXPECT_EQ(rig.env.lastFault.kind, mem::FaultKind::InvalidOpcode)
+                << where;
+            EXPECT_EQ(rig.env.lastFault.code, badEip) << where;
+            EXPECT_EQ(rig.seq.state(), SeqState::Halted) << where;
+            EXPECT_EQ(rig.seq.instsRetired(), 1u) << where;
+            const SequencerContext &ctx = rig.seq.context();
+            EXPECT_EQ(ctx.savedEip, 0u) << where;
+            EXPECT_EQ(ctx.trigger(isa::Scenario::IngressSignal), 0u);
+            EXPECT_EQ(ctx.trigger(isa::Scenario::ProxyRequest), 0u);
+            ticks[e] = rig.eq.curTick();
+        }
+        EXPECT_EQ(ticks[0], ticks[1]) << isa::disassemble(bad);
+    }
 }

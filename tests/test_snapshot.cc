@@ -221,11 +221,9 @@ TEST(Snapshot, CrossEngineSaveRestoreBitIdentical)
         EXPECT_TRUE(rec.ok()) << rec.note;
         expectSameRecord(coldRec, rec);
     };
-    // Warm-save under superblock, restore under ref — and vice versa
-    // (plus the middle engine for completeness).
+    // Warm-save under superblock, restore under ref — and vice versa.
     restoreUnder(cpu::Engine::Reference, imgSb);
     restoreUnder(cpu::Engine::Superblock, imgRef);
-    restoreUnder(cpu::Engine::Cache, imgSb);
 
     std::remove(imgSb.c_str());
     std::remove(imgRef.c_str());
