@@ -531,106 +531,6 @@ Sequencer::executeOne(bool *stop)
     return executeDecoded(inst, cycles + isa::baseLatency(inst.op), stop);
 }
 
-void
-Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
-{
-    // A plain switch, inlined into the superblock fast loop: one
-    // definition per Inline-class op, with no per-op call.
-    auto &regs = ctx_.regs;
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Pause:
-        break;
-      case Opcode::MovI:
-        regs[inst.rd] = inst.imm;
-        break;
-      case Opcode::Mov:
-        regs[inst.rd] = regs[inst.rs1];
-        break;
-      case Opcode::Add:
-        regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2];
-        break;
-      case Opcode::Sub:
-        regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2];
-        break;
-      case Opcode::Mul:
-        regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2];
-        break;
-      case Opcode::And:
-        regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2];
-        break;
-      case Opcode::Or:
-        regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2];
-        break;
-      case Opcode::Xor:
-        regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2];
-        break;
-      case Opcode::Shl:
-        regs[inst.rd] = regs[inst.rs1] << (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Shr:
-        regs[inst.rd] = regs[inst.rs1] >> (regs[inst.rs2] & 63);
-        break;
-      case Opcode::Sar:
-        regs[inst.rd] = static_cast<Word>(
-            static_cast<SWord>(regs[inst.rs1]) >> (regs[inst.rs2] & 63));
-        break;
-      case Opcode::AddI:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
-      case Opcode::SubI:
-        regs[inst.rd] = regs[inst.rs1] - inst.imm;
-        break;
-      case Opcode::MulI:
-        regs[inst.rd] = regs[inst.rs1] * inst.imm;
-        break;
-      case Opcode::AndI:
-        regs[inst.rd] = regs[inst.rs1] & inst.imm;
-        break;
-      case Opcode::OrI:
-        regs[inst.rd] = regs[inst.rs1] | inst.imm;
-        break;
-      case Opcode::XorI:
-        regs[inst.rd] = regs[inst.rs1] ^ inst.imm;
-        break;
-      case Opcode::ShlI:
-        regs[inst.rd] = regs[inst.rs1] << (inst.imm & 63);
-        break;
-      case Opcode::ShrI:
-        regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 63);
-        break;
-      case Opcode::Cmp:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(regs[inst.rs2]));
-        break;
-      case Opcode::CmpI:
-        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
-                            static_cast<SWord>(inst.imm));
-        break;
-      case Opcode::Lea:
-        regs[inst.rd] = regs[inst.rs1] + inst.imm;
-        break;
-      case Opcode::Compute: {
-        Cycles burn = inst.imm;
-        if (inst.rs1 != 0)
-            burn += regs[inst.rs1];
-        *consumed += burn;
-        break;
-      }
-      case Opcode::SeqId:
-        regs[inst.rd] = sid_;
-        break;
-      case Opcode::NumSeq:
-        regs[inst.rd] = env_ ? env_->numSequencers() : 1;
-        break;
-      case Opcode::RdTick:
-        regs[inst.rd] = eq_.curTick();
-        break;
-      default:
-        panic("%s: non-inline opcode in inline dispatch", name_.c_str());
-    }
-}
-
 Cycles
 Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
                           bool *stop)
@@ -879,6 +779,108 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
     if (advance)
         ctx_.eip += isa::kInstBytes;
     return cycles;
+}
+
+void
+Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
+{
+    // The one definition of every Inline-class op, for both engines.
+    // Case bodies stay written out in this switch (no per-op function
+    // or table) because the superblock fast loop runs it per
+    // instruction.
+    auto &regs = ctx_.regs;
+    switch (inst.op) {
+      case Opcode::Nop:
+      case Opcode::Pause:
+        break;
+      case Opcode::MovI:
+        regs[inst.rd] = inst.imm;
+        break;
+      case Opcode::Mov:
+        regs[inst.rd] = regs[inst.rs1];
+        break;
+      case Opcode::Add:
+        regs[inst.rd] = regs[inst.rs1] + regs[inst.rs2];
+        break;
+      case Opcode::Sub:
+        regs[inst.rd] = regs[inst.rs1] - regs[inst.rs2];
+        break;
+      case Opcode::Mul:
+        regs[inst.rd] = regs[inst.rs1] * regs[inst.rs2];
+        break;
+      case Opcode::And:
+        regs[inst.rd] = regs[inst.rs1] & regs[inst.rs2];
+        break;
+      case Opcode::Or:
+        regs[inst.rd] = regs[inst.rs1] | regs[inst.rs2];
+        break;
+      case Opcode::Xor:
+        regs[inst.rd] = regs[inst.rs1] ^ regs[inst.rs2];
+        break;
+      case Opcode::Shl:
+        regs[inst.rd] = regs[inst.rs1] << (regs[inst.rs2] & 63);
+        break;
+      case Opcode::Shr:
+        regs[inst.rd] = regs[inst.rs1] >> (regs[inst.rs2] & 63);
+        break;
+      case Opcode::Sar:
+        regs[inst.rd] = static_cast<Word>(
+            static_cast<SWord>(regs[inst.rs1]) >> (regs[inst.rs2] & 63));
+        break;
+      case Opcode::AddI:
+        regs[inst.rd] = regs[inst.rs1] + inst.imm;
+        break;
+      case Opcode::SubI:
+        regs[inst.rd] = regs[inst.rs1] - inst.imm;
+        break;
+      case Opcode::MulI:
+        regs[inst.rd] = regs[inst.rs1] * inst.imm;
+        break;
+      case Opcode::AndI:
+        regs[inst.rd] = regs[inst.rs1] & inst.imm;
+        break;
+      case Opcode::OrI:
+        regs[inst.rd] = regs[inst.rs1] | inst.imm;
+        break;
+      case Opcode::XorI:
+        regs[inst.rd] = regs[inst.rs1] ^ inst.imm;
+        break;
+      case Opcode::ShlI:
+        regs[inst.rd] = regs[inst.rs1] << (inst.imm & 63);
+        break;
+      case Opcode::ShrI:
+        regs[inst.rd] = regs[inst.rs1] >> (inst.imm & 63);
+        break;
+      case Opcode::Cmp:
+        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
+                            static_cast<SWord>(regs[inst.rs2]));
+        break;
+      case Opcode::CmpI:
+        setFlagsFromCompare(static_cast<SWord>(regs[inst.rs1]),
+                            static_cast<SWord>(inst.imm));
+        break;
+      case Opcode::Lea:
+        regs[inst.rd] = regs[inst.rs1] + inst.imm;
+        break;
+      case Opcode::Compute: {
+        Cycles burn = inst.imm;
+        if (inst.rs1 != 0)
+            burn += regs[inst.rs1];
+        *consumed += burn;
+        break;
+      }
+      case Opcode::SeqId:
+        regs[inst.rd] = sid_;
+        break;
+      case Opcode::NumSeq:
+        regs[inst.rd] = env_ ? env_->numSequencers() : 1;
+        break;
+      case Opcode::RdTick:
+        regs[inst.rd] = eq_.curTick();
+        break;
+      default:
+        panic("%s: non-inline opcode in inline dispatch", name_.c_str());
+    }
 }
 
 void
