@@ -26,7 +26,7 @@
  *
  * Invalidation bumps the page's version counter in place — the page
  * allocation itself is stable, so a sequencer can hold a raw pointer and
- * re-validate with one compare per instruction.
+ * re-validate it with one compare.
  */
 
 #ifndef MISP_CPU_DECODE_CACHE_HH

@@ -322,9 +322,10 @@ class Sequencer : public snap::Saveable
     /** Drop the cached decoded-block reference. Called by the MISP
      *  serialization engine alongside TLB purges, and by anything else
      *  that wants a hard resynchronization with guest memory. The block
-     *  is also revalidated per instruction (address-space generation +
-     *  page version), so this is a belt-and-braces purge point, not the
-     *  only line of defense. */
+     *  is also revalidated at every block resolve and after every
+     *  generic dispatch (address-space generation + page version), so
+     *  this is a belt-and-braces purge point, not the only line of
+     *  defense. */
     void
     invalidateDecodedBlock()
     {
@@ -453,9 +454,10 @@ class Sequencer : public snap::Saveable
 
     /** Cached reference into the current address space's decode cache.
      *  Valid only while the MMU's address-space generation and the
-     *  page's version are unchanged — both are checked per instruction,
-     *  and the generation check runs first so a page freed with its
-     *  address space is never dereferenced. */
+     *  page's version are unchanged — both are checked at every block
+     *  resolve and after every generic dispatch, and the generation
+     *  check runs first so a page freed with its address space is never
+     *  dereferenced. */
     struct BlockRef {
         DecodedPage *page = nullptr;
         std::uint64_t vpn = 0;
@@ -464,7 +466,7 @@ class Sequencer : public snap::Saveable
     };
 
     Engine engine_ = Engine::Superblock; ///< snap: config
-    BlockRef block_; ///< snap: derived — revalidated per instruction
+    BlockRef block_; ///< snap: derived — revalidated before use
 
     RunEvent runEvent_;
     bool suspendRequested_ = false;

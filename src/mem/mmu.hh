@@ -13,7 +13,7 @@
  *
  *  - fetchTranslate(va, ring, /\*fastPath=*\/false): the reference path —
  *    a full TLB probe per fetch (walking on a miss).
- *  - fetchTranslate(va, ring, /\*fastPath=*\/true): the predecoded-block
+ *  - fetchTranslate(va, ring, /\*fastPath=*\/true): the superblock
  *    engine's path. A one-entry last-translation cache short-circuits
  *    sequential fetches to the same page: while the TLB's content stamp
  *    is unchanged, the hit is *replayed* (reference-bit touch + hit
@@ -92,7 +92,7 @@ class Mmu : public snap::Saveable
     AccessResult fetchInst(VAddr va, std::uint8_t buf[16], Ring ring);
 
     /** Translate an instruction fetch without reading the bytes (the
-     *  predecoded-block engine executes from decoded pages instead).
+     *  superblock engine executes from decoded pages instead).
      *  @p fastPath enables the one-entry last-translation cache; both
      *  settings produce identical modeled cycles and TLB statistics. */
     FetchResult fetchTranslate(VAddr va, Ring ring, bool fastPath);

@@ -6,7 +6,7 @@
  * Everything in this header lives in *simulated* time. A TraceEvent
  * carries only values derived from the event queue's deterministic
  * clock (curTick, numProcessed) and from architectural model state, so
- * a trace is byte-identical across `--jobs N`, `--isolate`, all three
+ * a trace is byte-identical across `--jobs N`, `--isolate`, both
  * execution engines, and snapshot-restored runs — the same determinism
  * contract the frame and snapshot layers already carry. That makes a
  * trace a regression oracle, not just a viewer artifact: CI diffs the
