@@ -89,11 +89,6 @@ disassemble(const Instruction &inst)
         return "[" + reg(inst.rs1) + (simm < 0 ? "-" : "+") +
                std::to_string(simm < 0 ? 0 - inst.imm : inst.imm) + "]";
     };
-    auto hexImm = [&] {
-        std::ostringstream h;
-        h << "0x" << std::hex << inst.imm;
-        return h.str();
-    };
     os << opcodeName(inst.op);
     switch (opInfo(inst.op).format) {
       case Format::None:
@@ -140,11 +135,11 @@ disassemble(const Instruction &inst)
            << reg(inst.rs2);
         break;
       case Format::Target:
-        os << " " << hexImm();
+        os << " 0x" << std::hex << inst.imm;
         break;
       case Format::CondTarget:
-        os << "." << condName(static_cast<Cond>(inst.sub)) << " "
-           << hexImm();
+        os << "." << condName(static_cast<Cond>(inst.sub)) << " 0x"
+           << std::hex << inst.imm;
         break;
       case Format::Imm:
         os << " " << inst.imm;
@@ -159,7 +154,8 @@ disassemble(const Instruction &inst)
            << ", esp=" << reg(inst.rd);
         break;
       case Format::Monitor:
-        os << " scenario=" << int(inst.sub) << ", handler=" << hexImm();
+        os << " scenario=" << int(inst.sub) << ", handler=0x" << std::hex
+           << inst.imm;
         break;
     }
     return os.str();

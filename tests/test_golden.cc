@@ -102,19 +102,15 @@ scenarioFiles()
 
 } // namespace
 
-TEST(Golden, EveryScenarioHasAGolden)
+TEST(Golden, QuickMetricsByteIdentical)
 {
     const std::vector<fs::path> scns = scenarioFiles();
     ASSERT_FALSE(scns.empty());
-    for (const fs::path &scn : scns)
-        EXPECT_TRUE(fs::exists(goldenPath(scn.stem().string())))
-            << scn << ": no golden; run tools/regen_golden";
-}
-
-TEST(Golden, QuickMetricsByteIdentical)
-{
-    for (const fs::path &scn : scenarioFiles()) {
-        const std::string golden = readFile(goldenPath(scn.stem().string()));
+    for (const fs::path &scn : scns) {
+        const fs::path path = goldenPath(scn.stem().string());
+        ASSERT_TRUE(fs::exists(path))
+            << path << " missing; run tools/regen_golden";
+        const std::string golden = readFile(path);
         const std::string got = quickMetrics(loadScenario(scn));
         EXPECT_TRUE(got == golden)
             << scn.stem().string()
