@@ -159,7 +159,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    const bool quick = quickMode(argc, argv);
+    const bool quick = parseBenchFlags(argc, argv, {"--quick"}).quick;
     const unsigned scale = quick ? 1 : 4;
     const unsigned reps = quick ? 2 : 3;
 
@@ -180,9 +180,9 @@ main(int argc, char **argv)
     driver::Scenario sc;
     std::vector<driver::PointResult> grid;
     driver::RunnerOptions opts;
-    // Deliberately NOT honoring --engine here: the spec's machine pair
-    // pins one engine per leg, and the global override would silently
-    // collapse the A/B onto one engine.
+    // This bench takes no --engine (it exits 2 on one): the spec's
+    // machine pair pins one engine per leg, and the global override
+    // would collapse the A/B onto one engine.
     if (!driver::runScenarioByName("ablation_decode_cache.scn", argv[0],
                                    quick, opts, "ablation_decode_cache",
                                    &sc, &grid))

@@ -193,7 +193,7 @@ struct SizeResult {
 int
 main(int argc, char **argv)
 {
-    const bool quick = bench::parseBenchFlags(argc, argv);
+    const bool quick = bench::parseBenchFlags(argc, argv, {"--quick"}).quick;
     setQuietLogging(true);
 
     std::vector<std::size_t> sizes = {100, 1000, 10000};

@@ -91,7 +91,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    const bool quick = parseBenchFlags(argc, argv);
+    const bool quick = parseBenchFlags(argc, argv, {"--quick"}).quick;
 
     printHeader("Snapshot ablation: image cost + warmup-amortized sweep "
                 "speedup");

@@ -134,7 +134,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    const bool quick = parseBenchFlags(argc, argv);
+    const bool quick = parseBenchFlags(argc, argv).quick;
     // A single quick sweep is ~70ms of host time — far too short to
     // resolve a sub-1% effect against scheduler jitter. Each sample
     // sums `inner` back-to-back passes, and the reported figure is the

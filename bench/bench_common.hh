@@ -3,9 +3,11 @@
  * Shared experiment plumbing for the paper-reproduction benches.
  *
  * Each bench binary regenerates one table or figure from the paper's
- * evaluation (Section 5); see DESIGN.md's per-experiment index. Passing
- * `--quick` (or setting MISP_BENCH_QUICK=1) runs smaller inputs for CI
- * smoke purposes.
+ * evaluation (Section 5); see docs/RESULTS.md for the index. Every
+ * bench accepts `--quick` (smaller inputs for CI smoke runs) and most
+ * `--engine=ref|superblock`; the scenario wrappers also take
+ * `--points`. The flags are rows of mispsim's table
+ * (driver/cli_help.hh), and any other argument exits 2.
  */
 
 #ifndef MISP_BENCH_BENCH_COMMON_HH
@@ -13,11 +15,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "driver/cli_help.hh"
 #include "driver/runner.hh"
 #include "harness/run_record.hh"
 #include "workloads/workload.hh"
@@ -29,49 +33,26 @@ namespace misp::bench {
  *  host throughput, derived metrics). */
 using RunResult = harness::RunRecord;
 
-inline bool
-quickMode(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            return true;
-    }
-    const char *env = std::getenv("MISP_BENCH_QUICK");
-    return env && env[0] == '1';
-}
-
-/** `--engine=ref|superblock` (or MISP_ENGINE). Simulated results are
- *  bit-identical across engines; this is the escape hatch for
- *  isolating an engine and for A/B host-time runs. Returns the default
- *  engine when nothing is given. */
-inline bool
-benchEngine(int argc, char **argv, cpu::Engine *engine)
-{
-    bool given = false;
-    if (const char *env = std::getenv("MISP_ENGINE"))
-        given = cpu::parseEngineName(env, engine);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--engine=", 9) == 0)
-            given = cpu::parseEngineName(argv[i] + 9, engine) || given;
-    }
-    return given;
-}
-
 /** Default execution engine baked into the config helpers below. Set
- *  once per bench via parseBenchFlags(); explicit assignments to
- *  SystemConfig::misp.engine after construction still win (the
- *  engine ablation relies on that for its A/B legs). */
+ *  once per bench by parseBenchFlags() from `--engine=`; explicit
+ *  assignments to SystemConfig::misp.engine after construction still
+ *  win (the engine ablation relies on that for its A/B legs). */
 inline cpu::Engine gBenchEngine = cpu::Engine::Superblock;
-/** True when the user explicitly picked an engine (flag or env) — the
- *  only case where scenario-declared machine engines get overridden. */
-inline bool gBenchEngineForced = false;
 
-/** Parse the flags every bench shares; call first thing in main(). */
-inline bool
-parseBenchFlags(int argc, char **argv)
+/** Parse the bench's flags — the rows of mispsim's flag table named
+ *  @p names — and exit 2 on anything else. Call first thing in
+ *  main(). Returns the parsed options (`quick`, `engine`, ...). */
+inline driver::CliOptions
+parseBenchFlags(int argc, char **argv,
+                std::initializer_list<std::string_view> names = {
+                    "--quick", "--engine"})
 {
-    gBenchEngineForced = benchEngine(argc, argv, &gBenchEngine);
-    return quickMode(argc, argv);
+    driver::CliOptions cli;
+    if (!driver::parseToolArgs(driver::mispsimFlagSubset(names), argc,
+                               argv, &cli))
+        std::exit(2);
+    gBenchEngine = cli.engine.value_or(cpu::Engine::Superblock);
+    return cli;
 }
 
 /** Sum of retired guest instructions over every sequencer of every
@@ -182,22 +163,20 @@ scenarioBenchMain(const char *scn, const char *tool, int argc,
                   harness::MetricFrame *frame, int *exitCode)
 {
     setQuietLogging(true);
-    bool quick = parseBenchFlags(argc, argv);
-    bool points = false;
-    for (int i = 1; i < argc; ++i)
-        points = points || std::strcmp(argv[i], "--points") == 0;
+    const driver::CliOptions cli =
+        parseBenchFlags(argc, argv, {"--quick", "--engine", "--points"});
 
     driver::RunnerOptions opts;
-    opts.forceEngine = gBenchEngineForced;
+    opts.forceEngine = cli.engine.has_value();
     opts.engine = gBenchEngine;
     std::vector<driver::PointResult> results;
-    if (!driver::runScenarioByName(scn, argv[0], quick, opts, tool, sc,
-                                   &results)) {
+    if (!driver::runScenarioByName(scn, argv[0], cli.quick, opts, tool,
+                                   sc, &results)) {
         *exitCode = 1;
         return true;
     }
     *frame = driver::buildMetricFrame(*sc, results);
-    if (points) {
+    if (cli.pointsOnly) {
         driver::writePoints(std::cout, *frame);
         *exitCode = 0;
         return true;

@@ -29,7 +29,7 @@ int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    bool quick = parseBenchFlags(argc, argv);
+    const bool quick = parseBenchFlags(argc, argv).quick;
     wl::WorkloadParams params = defaultParams(quick);
     params.workers = 3; // smaller gangs: this bench checks porting only
 

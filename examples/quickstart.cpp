@@ -12,8 +12,8 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
+#include "driver/cli_help.hh"
 #include "harness/experiment.hh"
 #include "isa/assembler.hh"
 
@@ -24,14 +24,14 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
 
-    // Escape hatch: pick the host execution engine (reference
-    // per-instruction fetch+decode, or chained superblocks). Output is
-    // bit-identical across both — diff the runs to check an engine.
-    cpu::Engine engine = cpu::Engine::Superblock;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--engine=", 9) == 0)
-            cpu::parseEngineName(argv[i] + 9, &engine);
-    }
+    // `--engine=ref|superblock` picks the host execution engine
+    // (reference per-instruction fetch+decode, or chained superblocks).
+    // Output is bit-identical across both — diff the runs to check an
+    // engine. Any other argument exits 2.
+    driver::CliOptions cli;
+    if (!driver::parseToolArgs(driver::mispsimFlagSubset({"--engine"}),
+                               argc, argv, &cli))
+        return 2;
 
     // A guest program: main starts one shred per AMS via SIGNAL; each
     // shred sums a slice of an array into a per-shred slot; main spins
@@ -143,7 +143,7 @@ main(int argc, char **argv)
     app.data.push_back(data);
 
     arch::SystemConfig sys = arch::SystemConfig::uniprocessor(7);
-    sys.misp.engine = engine;
+    sys.misp.engine = cli.engine.value_or(cpu::Engine::Superblock);
     harness::Experiment exp(sys, rt::Backend::Shred);
     harness::LoadedProcess proc = exp.load(app);
     Tick ticks = exp.runToCompletion(proc.process).ticks;

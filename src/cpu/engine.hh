@@ -37,8 +37,8 @@ engineName(Engine e)
     return e == Engine::Reference ? "ref" : "superblock";
 }
 
-/** Parse an `--engine=` / `MISP_ENGINE` / `engine =` value: exactly
- *  one of the names engineName() prints. */
+/** Parse an `--engine=` or `engine =` value: exactly one of the names
+ *  engineName() prints. */
 inline bool
 parseEngineName(const std::string &s, Engine *out)
 {

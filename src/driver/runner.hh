@@ -46,8 +46,7 @@ struct PointResult {
 
 struct RunnerOptions {
     /** Force one host execution engine on every machine, overriding
-     *  the scenario's `engine` knob (--engine=ref|superblock, or
-     *  MISP_ENGINE). */
+     *  the scenario's `engine` knob (--engine=ref|superblock). */
     bool forceEngine = false;
     cpu::Engine engine = cpu::Engine::Superblock;
     /** Capture a full stats::StatGroup JSON dump per point. */

@@ -202,6 +202,21 @@ parseAxes(const SpecFile &spec, const SpecSection &sec,
 } // namespace
 
 bool
+parseFailedPointPolicy(const std::string &name, FailedPointPolicy *out)
+{
+    for (auto [text, policy] :
+         {std::pair{"fail", FailedPointPolicy::Fail},
+          std::pair{"skip", FailedPointPolicy::Skip},
+          std::pair{"require_all", FailedPointPolicy::RequireAll}}) {
+        if (name == text) {
+            *out = policy;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
 Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
 {
     *out = Scenario{};
@@ -425,16 +440,8 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                         return false;
                     }
                 } else if (e.key == "on_failed_points") {
-                    if (e.value == "fail")
-                        out->report.onFailedPoints =
-                            FailedPointPolicy::Fail;
-                    else if (e.value == "skip")
-                        out->report.onFailedPoints =
-                            FailedPointPolicy::Skip;
-                    else if (e.value == "require_all")
-                        out->report.onFailedPoints =
-                            FailedPointPolicy::RequireAll;
-                    else {
+                    if (!parseFailedPointPolicy(
+                            e.value, &out->report.onFailedPoints)) {
                         if (err)
                             *err = specError(spec.path, e.line,
                                              "on_failed_points: expected "

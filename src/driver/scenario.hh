@@ -163,6 +163,11 @@ enum class FailedPointPolicy {
     RequireAll,
 };
 
+/** Parse a policy name (fail, skip, require_all), as written in
+ *  `on_failed_points =` and `--on-failed`. */
+bool parseFailedPointPolicy(const std::string &name,
+                            FailedPointPolicy *out);
+
 /** Derived-column requests for tables and wrapper figures. */
 struct ReportSpec {
     /** Speedup column: ticks on this machine / ticks, per coordinate. */

@@ -494,11 +494,6 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
         VAddr addr = args[0];
         Word expected = args[1];
         Word cur = t.process()->addressSpace().peekWord(addr, 8);
-        if (getenv("MISP_FUTEX_DEBUG"))
-            fprintf(stderr, "[%llu] tid=%u WAIT addr=%llx exp=%llu cur=%llu\n",
-                (unsigned long long)eq_.curTick(), t.tid(),
-                (unsigned long long)addr, (unsigned long long)expected,
-                (unsigned long long)cur);
         if (cur != expected) {
             res.retval = 1; // value changed; no wait
             break;
@@ -517,10 +512,6 @@ Kernel::syscall(int cpu, OsThread &t, Word number,
       case Sys::FutexWake: {
         VAddr addr = args[0];
         Word count = args[1];
-        if (getenv("MISP_FUTEX_DEBUG"))
-            fprintf(stderr, "[%llu] tid=%u WAKE addr=%llx n=%llu\n",
-                (unsigned long long)eq_.curTick(), t.tid(),
-                (unsigned long long)addr, (unsigned long long)count);
         auto it = futexQueues_.find(FutexKey{t.process()->pid(), addr});
         Word woken = 0;
         if (it != futexQueues_.end()) {

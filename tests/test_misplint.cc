@@ -124,6 +124,19 @@ TEST(MisplintFixtures, HostClockOutsideSimulatedDirs)
     EXPECT_EQ(findingsIn("src/driver/host_clock.cc"), expected);
 }
 
+TEST(MisplintFixtures, HostEnvironmentReads)
+{
+    // det-env covers every file under src/: the simulated dirs and the
+    // host-side driver alike take their settings from the spec or a
+    // CLI flag. A member function named getenv is not a libc read.
+    std::vector<Key> expected = {
+        {"src/os/env_knob.cc", 11, "det-env", "getenv"},
+        {"src/os/env_knob.cc", 12, "det-env", "getenv"},
+        {"src/os/env_knob.cc", 13, "det-env", "secure_getenv"},
+    };
+    EXPECT_EQ(findingsIn("src/os/env_knob.cc"), expected);
+}
+
 TEST(MisplintFixtures, ObsHostPlaneQuarantine)
 {
     // Simulated code must not include the obs host plane; the
@@ -185,7 +198,8 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
          {"src/sim/banned_rand.cc", "src/sim/unordered_emit.cc",
           "src/mem/bad_layering.cc", "src/mem/missing_member.hh",
           "src/snapshot/tags.hh", "src/driver/host_clock.cc",
-          "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc"})
+          "src/os/bad_obs_include.cc", "src/obs/trace_rand.cc",
+          "src/os/env_knob.cc"})
         total += static_cast<int>(findingsIn(file).size());
     EXPECT_EQ(static_cast<int>(fixtureReport().findings.size()),
               total);
@@ -194,7 +208,7 @@ TEST(MisplintFixtures, NothingOutsideTheExpectedFiles)
 TEST(MisplintFixtures, ReportCounters)
 {
     const Report &r = fixtureReport();
-    EXPECT_EQ(r.filesScanned, 12);
+    EXPECT_EQ(r.filesScanned, 13);
     // Widget (missing_member.hh) and Cache (annotated_derived.hh).
     EXPECT_EQ(r.saveableClasses, 2);
     std::vector<std::string> names = r.saveableNames;

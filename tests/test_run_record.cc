@@ -587,6 +587,19 @@ TEST(WorkloadParamKnobs, RaytracerSceneSizeKnob)
 // Checked-in scenario specs
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** A checked-in spec, resolved under the source tree so the test
+ *  passes from any working directory. */
+std::string
+checkedInScenario(const char *file)
+{
+    return findScenarioFile(
+        std::string(MISP_SOURCE_ROOT) + "/scenarios/" + file, nullptr);
+}
+
+} // namespace
+
 TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
 {
     const struct {
@@ -599,9 +612,8 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
         {"ablation_pageprobe.scn", 2},    // 1 workload x off/on
     };
     for (const auto &c : cases) {
-        std::string path = findScenarioFile(c.file, nullptr);
-        ASSERT_FALSE(path.empty())
-            << c.file << " not found (run from build/ or the repo root)";
+        std::string path = checkedInScenario(c.file);
+        ASSERT_FALSE(path.empty()) << c.file << " not found";
         SpecFile spec;
         Scenario sc;
         std::vector<ScenarioPoint> pts;
@@ -616,7 +628,7 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
     // table1 guards its claims from the spec (per-suite aggregates);
     // fig4 carries the §5.3 speedup asserts plus their suite-level
     // aggregate forms.
-    std::string path = findScenarioFile("table1.scn", nullptr);
+    std::string path = checkedInScenario("table1.scn");
     SpecFile spec;
     Scenario sc;
     std::string err;
@@ -625,7 +637,7 @@ TEST(CheckedInScenarios, PortedBenchSpecsParseAndExpand)
     EXPECT_EQ(sc.report.mode, ReportMode::Events);
     EXPECT_EQ(sc.report.asserts.size(), 4u);
 
-    path = findScenarioFile("fig4.scn", nullptr);
+    path = checkedInScenario("fig4.scn");
     ASSERT_FALSE(path.empty());
     ASSERT_TRUE(SpecFile::parseFile(path, &spec, &err)) << err;
     ASSERT_TRUE(Scenario::fromSpec(spec, &sc, &err)) << err;

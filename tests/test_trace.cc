@@ -604,21 +604,189 @@ TEST(RunLog, DispatchCountMatchesAttemptsUnderChaos)
 // CLI surface audit
 // ---------------------------------------------------------------------
 
-TEST(CliHelp, UsageNamesEveryRegisteredFlag)
-{
-    const std::string usage = driver::mispsimUsage("mispsim");
-    const std::vector<std::string> names = driver::mispsimFlagNames();
-    ASSERT_FALSE(names.empty());
-    for (const std::string &name : names)
-        EXPECT_NE(usage.find(name), std::string::npos) << name;
+namespace {
 
-    // The observability flags this PR adds must be part of the
-    // audited surface.
-    for (const char *flag : {"--trace", "--trace-skip", "--run-log",
-                             "--progress", "--profile"})
-        EXPECT_NE(std::find(names.begin(), names.end(), flag),
-                  names.end())
-            << flag;
+/** Parse @p args (argv after the program name) against @p flags. */
+bool
+parseArgs(const std::vector<driver::CliFlag> &flags,
+          std::vector<const char *> args, driver::CliOptions *out,
+          std::string *err)
+{
+    args.insert(args.begin(), "tool");
+    return driver::parseCliArgs(flags, static_cast<int>(args.size()),
+                                args.data(), out, err);
+}
+
+/** parseMispsimArgs over @p args; true when they are a usage error. */
+bool
+mispsimUsageError(std::vector<const char *> args)
+{
+    args.insert(args.begin(), "mispsim");
+    driver::CliOptions out;
+    std::string err;
+    return !driver::parseMispsimArgs(static_cast<int>(args.size()),
+                                     args.data(), &out, &err);
+}
+
+} // namespace
+
+TEST(CliHelp, EveryFlagRowLandsInItsField)
+{
+    using O = driver::CliOptions;
+    const struct {
+        std::vector<const char *> args;
+        bool (*landed)(const O &);
+    } cases[] = {
+        {{"-o", "r.json"}, [](const O &o) { return o.jsonPath == "r.json"; }},
+        {{"--metrics", "m.json"},
+         [](const O &o) { return o.metricsPath == "m.json"; }},
+        {{"--quick"}, [](const O &o) { return o.quick; }},
+        {{"--jobs", "3"}, [](const O &o) { return o.jobs == 3u; }},
+        {{"--isolate"}, [](const O &o) { return o.isolate; }},
+        {{"--deadline", "250"},
+         [](const O &o) { return o.deadlineMs == 250u; }},
+        {{"--retries", "0"}, [](const O &o) { return o.retries == 0u; }},
+        {{"--backoff", "10"}, [](const O &o) { return o.backoffMs == 10u; }},
+        {{"--inject", "crash@0"},
+         [](const O &o) { return o.inject == "crash@0"; }},
+        {{"--on-failed", "require_all"},
+         [](const O &o) {
+             return o.onFailed == driver::FailedPointPolicy::RequireAll;
+         }},
+        {{"--save-snapshot", "snapA"},
+         [](const O &o) { return o.saveSnapshotDir == "snapA"; }},
+        {{"--from-snapshot", "snapB"},
+         [](const O &o) { return o.fromSnapshotDir == "snapB"; }},
+        {{"--engine=ref"},
+         [](const O &o) { return o.engine == cpu::Engine::Reference; }},
+        {{"--trace", "t.json"},
+         [](const O &o) { return o.tracePath == "t.json"; }},
+        {{"--trace-skip", "0x10"},
+         [](const O &o) { return o.traceSkip == 16u; }},
+        {{"--run-log", "r.jsonl"},
+         [](const O &o) { return o.runLogPath == "r.jsonl"; }},
+        {{"--shard", "1/4"}, [](const O &o) { return o.shard == "1/4"; }},
+        {{"--merge-frames", "out.json"},
+         [](const O &o) { return o.mergeOut == "out.json"; }},
+        {{"--progress"}, [](const O &o) { return o.progress; }},
+        {{"--profile", "p.json"},
+         [](const O &o) { return o.profilePath == "p.json"; }},
+        {{"--md"}, [](const O &o) { return o.markdown; }},
+        {{"--points"}, [](const O &o) { return o.pointsOnly; }},
+        {{"--dry-run"}, [](const O &o) { return o.dryRun; }},
+        {{"--full-stats"}, [](const O &o) { return o.fullStats; }},
+        {{"--verbose"}, [](const O &o) { return o.verbose; }},
+        {{"--list-workloads"}, [](const O &o) { return o.listWorkloads; }},
+        {{"--help"}, [](const O &o) { return o.help; }},
+        {{"-h"}, [](const O &o) { return o.help; }},
+    };
+    std::vector<std::string> covered;
+    for (const auto &c : cases) {
+        const std::string flag = c.args[0];
+        EXPECT_FALSE(c.landed(O{})) << flag << ": check holds by default";
+        O o;
+        std::string err;
+        ASSERT_TRUE(parseArgs(driver::mispsimFlags(), c.args, &o, &err))
+            << flag << ": " << err;
+        EXPECT_TRUE(c.landed(o)) << flag;
+        EXPECT_TRUE(o.args.empty()) << flag << ": value not consumed";
+        covered.push_back(flag.substr(0, flag.find('=')));
+    }
+    // Every row of the table is exercised, and renders in --help.
+    const std::string usage = driver::mispsimUsage("mispsim");
+    for (const driver::CliFlag &f : driver::mispsimFlags()) {
+        EXPECT_NE(std::find(covered.begin(), covered.end(), f.name),
+                  covered.end())
+            << f.name;
+        const std::string spec =
+            (f.alias ? std::string(f.alias) + ", " : "") + f.name;
+        EXPECT_NE(usage.find("  " + spec), std::string::npos) << spec;
+    }
+    EXPECT_EQ(usage.find("MISP_"), std::string::npos);
+}
+
+TEST(CliHelp, MispsimUsageErrors)
+{
+    const std::vector<std::vector<const char *>> errors = {
+        {"smoke.scn", "--bogus"},
+        {"smoke.scn", "--engin=ref"},
+        {"smoke.scn", "-o"},
+        {"smoke.scn", "--jobs"},
+        {"smoke.scn", "--jobs", "0"},
+        {"smoke.scn", "--jobs", "two"},
+        {"smoke.scn", "--engine=cache"},
+        {"smoke.scn", "--engine"},
+        {"smoke.scn", "--on-failed", "maybe"},
+        {"smoke.scn", "--trace-skip", "5"},
+        {"smoke.scn", "--deadline", "100"},
+        {"smoke.scn", "--retries", "1"},
+        {"smoke.scn", "--inject", "crash@0"},
+        {"smoke.scn", "--isolate", "--inject", "explode@0"},
+        {"smoke.scn", "--shard", "0/2", "--merge-frames", "o.json",
+         "s0.json"},
+        {"smoke.scn", "--shard", "4/4"},
+        {"smoke.scn", "--save-snapshot", "a", "--from-snapshot", "b"},
+        {"smoke.scn", "--merge-frames", "o.json"},
+        {"smoke.scn", "other.scn"},
+        {},
+    };
+    for (const std::vector<const char *> &args : errors) {
+        std::string line;
+        for (const char *a : args)
+            line += std::string(a) + " ";
+        EXPECT_TRUE(mispsimUsageError(args)) << line;
+    }
+
+    // The same flags in a valid combination parse, and --help wins
+    // over whatever follows it.
+    EXPECT_FALSE(mispsimUsageError(
+        {"smoke.scn", "--isolate", "--deadline", "100", "--inject",
+         "seed=7;crash@0", "--trace", "t.json", "--trace-skip", "5",
+         "--shard", "1/2", "--jobs", "2", "--on-failed", "skip"}));
+    EXPECT_FALSE(mispsimUsageError(
+        {"smoke.scn", "--merge-frames", "o.json", "s0.json", "s1.json"}));
+    EXPECT_FALSE(mispsimUsageError({"--help", "--bogus"}));
+
+    // Cross-flag parsing fills the derived fields.
+    const char *argv[] = {"mispsim", "smoke.scn", "--shard", "2/3",
+                          "--isolate", "--inject", "seed=7;crash@0"};
+    driver::CliOptions out;
+    std::string err;
+    ASSERT_TRUE(driver::parseMispsimArgs(7, argv, &out, &err)) << err;
+    EXPECT_EQ(out.shardSpec.index, 2u);
+    EXPECT_EQ(out.shardSpec.count, 3u);
+    EXPECT_FALSE(out.faults.empty());
+}
+
+TEST(CliHelp, BenchFlagsFailClosed)
+{
+    const std::vector<driver::CliFlag> bench =
+        driver::mispsimFlagSubset({"--quick", "--engine", "--points"});
+    ASSERT_EQ(bench.size(), 3u);
+    driver::CliOptions o;
+    std::string err;
+    ASSERT_TRUE(parseArgs(bench, {"--quick", "--engine=superblock",
+                                  "--points"},
+                          &o, &err))
+        << err;
+    EXPECT_TRUE(o.quick);
+    EXPECT_TRUE(o.pointsOnly);
+    EXPECT_EQ(o.engine, cpu::Engine::Superblock);
+
+    for (std::vector<const char *> args :
+         {std::vector<const char *>{"--quick", "--engin=ref"},
+          {"--engine=bogus"},
+          {"--engine=cache"},
+          {"--jobs", "2"}, // a mispsim flag this table does not carry
+          {"--help"}}) {
+        driver::CliOptions bad;
+        EXPECT_FALSE(parseArgs(bench, args, &bad, &err)) << args[0];
+    }
+    // A positional argument is collected, and a tool without
+    // positionals rejects it.
+    const char *argv[] = {"bench", "--quick", "stray"};
+    driver::CliOptions stray;
+    EXPECT_FALSE(driver::parseToolArgs(bench, 3, argv, &stray));
 }
 
 TEST(CliHelp, ExitCodeTableIsCompleteAndRendered)

@@ -749,8 +749,8 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
     // determinism contract, but src/driver/ and src/harness/ emit
     // deterministic artifacts too and must not sprout timing outside
     // the allowlisted wall-clock sites.
-    const bool detTime =
-        f.rel.rfind("src/", 0) == 0 && !chronoAllowed(f.rel);
+    const bool inSrc = f.rel.rfind("src/", 0) == 0;
+    const bool detTime = inSrc && !chronoAllowed(f.rel);
 
     // layer-include + chrono include gating live on include lines.
     for (std::size_t ln = 0; ln < f.code.size(); ++ln) {
@@ -831,6 +831,16 @@ hygieneScan(const FileText &f, const std::vector<Tok> &toks,
                            "src/obs/host_*)",
                            suppressed);
         }
+
+        // Nothing under src/ reads the host environment: a setting is
+        // a .scn key or a CLI flag, so a run is a function of its
+        // inputs and the environment cannot change what it does.
+        if (inSrc && (t == "getenv" || t == "secure_getenv") &&
+            !memberCall && !qualified)
+            addFinding(out, f, line, "det-env", t,
+                       t + "() reads the host environment; take the "
+                       "setting from the scenario spec or a CLI flag",
+                       suppressed);
 
         if (sim) {
             if ((t == "rand" || t == "srand") && next == "(" &&

@@ -35,6 +35,9 @@
  *                          hash-order leaks into emitted/serialized
  *                          bytes unless the site sorts first (annotate
  *                          deliberate sort-then-iterate sites)
+ *    det-env               getenv()/secure_getenv() anywhere in src/ —
+ *                          settings come from the spec or a CLI flag,
+ *                          never from the host environment
  *
  *  layering
  *    layer-include         src/{sim,mem,cpu} including a src/driver or

@@ -10,12 +10,13 @@
  *   $ ./build/mispsim scenarios/fig4.scn -o fig4.json
  *   $ ./build/mispsim scenarios/fig7.scn --quick --md
  *   $ ./build/mispsim scenarios/smoke.scn --dry-run
+ *
+ * The flags are the rows of driver/cli_help.cc's table, which both
+ * parses them and renders --help.
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,8 +39,6 @@ namespace {
 int
 usage(const char *argv0, int code)
 {
-    // Rendered from the flag/exit-code registries in driver/cli_help.cc
-    // so the help text can never drift from the audited CLI surface.
     std::fputs(mispsimUsage(argv0).c_str(), code ? stderr : stdout);
     return code;
 }
@@ -54,665 +53,119 @@ listWorkloads()
         std::printf("%-18s %s\n", info.name.c_str(), info.suite.c_str());
 }
 
+/** Open @p path for writing; false (after saying so) if it cannot be. */
+bool
+openOutput(const std::string &path, std::ofstream *os)
+{
+    os->open(path);
+    if (*os)
+        return true;
+    std::fprintf(stderr, "mispsim: cannot write '%s'\n", path.c_str());
+    return false;
+}
+
+/** Write one output file through @p emit and say so. */
+template <class Emit>
+bool
+writeOutput(const std::string &path, Emit emit)
+{
+    std::ofstream os;
+    if (!openOutput(path, &os))
+        return false;
+    emit(os);
+    std::fprintf(stderr, "mispsim: wrote %s\n", path.c_str());
+    return true;
+}
+
+/** A --shard run's slice of the grid, for its --metrics header. */
+struct ShardRun {
+    ShardSpec spec;
+    std::size_t totalPoints = 0;
+    std::string configHash;
+    std::vector<std::size_t> indices;
+};
+
+const char *
+failureText(harness::RunStatus status)
+{
+    switch (status) {
+      case harness::RunStatus::MaxTicksReached:
+        return "never finished (hit max_ticks)";
+      case harness::RunStatus::SnapshotError:
+        return "snapshot error";
+      case harness::RunStatus::WorkerCrashed:
+        return "worker crashed";
+      case harness::RunStatus::WorkerTimeout:
+        return "worker timed out";
+      case harness::RunStatus::Completed:
+        break;
+    }
+    return "failed result validation";
+}
+
 /**
- * `--merge-frames OUT IN...`: reassemble per-shard `--metrics` dumps
- * into one frame, write it to @p outPath in the serial format, run the
- * scenario's deferred [report] asserts on it, and mirror the serial
- * run's exit-code policy (including 4 for degraded-but-passing sweeps
- * under on_failed_points = skip).
+ * The shared end of every run — serial, --shard, and --merge-frames:
+ * render the frame, write -o and @p metricsPath, report failed points,
+ * evaluate the [report] asserts (a shard defers them to the merge),
+ * and pick the exit code. @p results carries the per-point failure
+ * notes; a merged frame has none.
  */
 int
-mergeFramesMain(const Scenario &scIn,
-                const std::vector<std::string> &inputs,
-                const std::string &outPath, bool pointsOnly,
-                bool markdown, const std::string &jsonPath)
+finishRun(const CliOptions &cli, const Scenario &sc, bool quick,
+          const harness::MetricFrame &frame,
+          const std::vector<PointResult> *results, const ShardRun *shard,
+          const std::string &metricsPath)
 {
-    Scenario sc = scIn;
-    std::string err;
-    if (inputs.empty()) {
-        std::fprintf(stderr,
-                     "mispsim: --merge-frames needs at least one shard "
-                     "dump\n");
-        return 2;
-    }
-    std::vector<ShardDump> dumps;
-    for (const std::string &in : inputs) {
-        ShardDump dump;
-        if (!readShardDump(in, &dump, &err)) {
-            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-            return 1;
-        }
-        dumps.push_back(std::move(dump));
-    }
-    // The grid is re-expanded under the mode the shards ran in;
-    // mergeShardDumps fails closed if the dumps disagree on it.
-    const bool quick = dumps[0].quick;
-    std::vector<ScenarioPoint> grid;
-    if (!sc.expandPoints(quick, &grid, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-    harness::MetricFrame frame;
-    if (!mergeShardDumps(sc, quick, grid, dumps, &frame, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-
-    if (pointsOnly) {
+    if (cli.pointsOnly)
         writePoints(std::cout, frame);
-    } else if (sc.report.mode == ReportMode::Events) {
-        writeEventsTable(std::cout, sc, frame, markdown);
-    } else {
-        writeTable(std::cout, sc, frame, markdown);
-    }
+    else if (sc.report.mode == ReportMode::Events)
+        writeEventsTable(std::cout, sc, frame, cli.markdown);
+    else
+        writeTable(std::cout, sc, frame, cli.markdown);
 
-    {
-        std::ofstream os(outPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         outPath.c_str());
-            return 1;
-        }
-        writeMetricsJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", outPath.c_str());
-    }
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        writeJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", jsonPath.c_str());
-    }
+    if (!cli.jsonPath.empty() &&
+        !writeOutput(cli.jsonPath, [&](std::ostream &os) {
+            writeJson(os, sc, quick, frame);
+        }))
+        return 1;
+    if (!metricsPath.empty() &&
+        !writeOutput(metricsPath, [&](std::ostream &os) {
+            if (shard)
+                writeShardMetricsJson(os, sc, quick, frame, shard->spec,
+                                      shard->totalPoints,
+                                      shard->configHash, shard->indices);
+            else
+                writeMetricsJson(os, sc, quick, frame);
+        }))
+        return 1;
 
-    // Same per-point failure accounting as a serial run, read back
-    // from the merged frame's status/valid/attempts columns (the
-    // dumps don't carry the free-form failure notes).
     int rc = 0;
     std::size_t failedPoints = 0;
     const bool degradeGracefully =
         sc.report.onFailedPoints == FailedPointPolicy::Skip;
     for (std::size_t r = 0; r < frame.numRows(); ++r) {
         const harness::MetricFrame::Row &row = frame.row(r);
-        const bool valid = frame.at(r, "valid") != 0.0;
-        if (row.status == harness::RunStatus::Completed && valid)
+        if (row.status == harness::RunStatus::Completed &&
+            frame.at(r, "valid") != 0.0)
             continue;
-        std::string what;
-        switch (row.status) {
-          case harness::RunStatus::MaxTicksReached:
-            what = "never finished (hit max_ticks)";
-            break;
-          case harness::RunStatus::SnapshotError:
-            what = "snapshot error";
-            break;
-          case harness::RunStatus::WorkerCrashed:
-            what = "worker crashed";
-            break;
-          case harness::RunStatus::WorkerTimeout:
-            what = "worker timed out";
-            break;
-          case harness::RunStatus::Completed:
-            what = "failed result validation";
-            break;
-        }
+        const bool infra = harness::runStatusIsInfraFailure(row.status);
+        std::string what = failureText(row.status);
+        if (infra && results)
+            what += ": " + (*results)[r].run.note;
         const double attempts = frame.at(r, "attempts");
         if (attempts > 1)
             what += " [attempts=" +
-                    std::to_string(
-                        static_cast<long long>(attempts)) +
+                    std::to_string(static_cast<long long>(attempts)) +
                     "]";
         std::fprintf(stderr,
                      "mispsim: point machine=%s workload=%s "
                      "competitors=%u %s\n",
                      row.machine.c_str(), row.workload.c_str(),
                      row.competitors, what.c_str());
-        if (harness::runStatusIsInfraFailure(row.status) &&
-            degradeGracefully)
-            ++failedPoints;
-        else
-            rc = 1;
-    }
-
-    // The asserts each shard deferred run here, on the full frame.
-    std::vector<AssertFailure> failures;
-    std::size_t skippedGroups = 0;
-    if (!evaluateAsserts(sc, frame, &failures, &err, &skippedGroups)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-    for (const AssertFailure &f : failures) {
-        std::fprintf(stderr, "mispsim: %s:%d: assert FAILED: %s (%s)\n",
-                     sc.specPath.c_str(), f.line, f.text.c_str(),
-                     f.detail.c_str());
-        rc = 1;
-    }
-    if (skippedGroups > 0)
-        std::fprintf(stderr,
-                     "mispsim: %zu assert evaluation(s) skipped over "
-                     "failed points\n",
-                     skippedGroups);
-    if (!sc.report.asserts.empty() && failures.empty())
-        std::fprintf(stderr, "mispsim: %zu assert(s) passed\n",
-                     sc.report.asserts.size());
-    if (rc == 0 && failedPoints > 0) {
-        std::fprintf(stderr,
-                     "mispsim: completed with %zu failed point(s) "
-                     "(on_failed_points=skip)\n",
-                     failedPoints);
-        rc = 4;
-    }
-    return rc;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    std::string scnArg;
-    std::string jsonPath;
-    std::string metricsPath;
-    bool quick = false;
-    bool markdown = false;
-    bool pointsOnly = false;
-    bool dryRun = false;
-    bool fullStats = false;
-    bool verbose = false;
-    bool forceEngine = false;
-    misp::cpu::Engine engine = misp::cpu::Engine::Superblock;
-    bool isolate = false;
-    unsigned jobs = 1;
-    std::string saveSnapshotDir;
-    std::string fromSnapshotDir;
-    std::string injectSpec;
-    std::int64_t deadlineMs = -1;
-    int retries = -1;
-    int backoffMs = -1;
-    std::string onFailed;
-    std::string tracePath;
-    std::uint64_t traceSkip = 0;
-    std::string runLogPath;
-    std::string profilePath;
-    bool progressFlag = false;
-    std::string shardArg;
-    std::string mergeOut;
-    std::vector<std::string> mergeInputs;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "-h") == 0 || std::strcmp(arg, "--help") == 0)
-            return usage(argv[0], 0);
-        if (std::strcmp(arg, "--list-workloads") == 0) {
-            listWorkloads();
-            return 0;
-        }
-        if (std::strcmp(arg, "-o") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr, "mispsim: -o needs a file argument\n");
-                return 2;
-            }
-            jsonPath = argv[i];
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --metrics needs a file argument\n");
-                return 2;
-            }
-            metricsPath = argv[i];
-        } else if (std::strcmp(arg, "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (++i >= argc || !parseUnsigned(argv[i], &jobs) ||
-                jobs == 0) {
-                std::fprintf(stderr,
-                             "mispsim: --jobs needs a positive integer\n");
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--isolate") == 0) {
-            isolate = true;
-        } else if (std::strcmp(arg, "--deadline") == 0) {
-            unsigned ms = 0;
-            if (++i >= argc || !parseUnsigned(argv[i], &ms)) {
-                std::fprintf(stderr,
-                             "mispsim: --deadline needs a millisecond "
-                             "count\n");
-                return 2;
-            }
-            deadlineMs = static_cast<std::int64_t>(ms);
-        } else if (std::strcmp(arg, "--retries") == 0) {
-            unsigned n = 0;
-            if (++i >= argc || !parseUnsigned(argv[i], &n)) {
-                std::fprintf(stderr,
-                             "mispsim: --retries needs an integer\n");
-                return 2;
-            }
-            retries = static_cast<int>(n);
-        } else if (std::strcmp(arg, "--backoff") == 0) {
-            unsigned ms = 0;
-            if (++i >= argc || !parseUnsigned(argv[i], &ms)) {
-                std::fprintf(stderr,
-                             "mispsim: --backoff needs a millisecond "
-                             "count\n");
-                return 2;
-            }
-            backoffMs = static_cast<int>(ms);
-        } else if (std::strcmp(arg, "--inject") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --inject needs a fault spec\n");
-                return 2;
-            }
-            injectSpec = argv[i];
-        } else if (std::strcmp(arg, "--on-failed") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --on-failed needs fail, skip, or "
-                             "require_all\n");
-                return 2;
-            }
-            onFailed = argv[i];
-        } else if (std::strcmp(arg, "--save-snapshot") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --save-snapshot needs a directory\n");
-                return 2;
-            }
-            saveSnapshotDir = argv[i];
-        } else if (std::strcmp(arg, "--from-snapshot") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --from-snapshot needs a directory\n");
-                return 2;
-            }
-            fromSnapshotDir = argv[i];
-        } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            if (!misp::cpu::parseEngineName(arg + 9, &engine)) {
-                std::fprintf(stderr,
-                             "mispsim: --engine wants ref or "
-                             "superblock, got '%s'\n",
-                             arg + 9);
-                return 2;
-            }
-            forceEngine = true;
-        } else if (std::strcmp(arg, "--trace") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --trace needs a file argument\n");
-                return 2;
-            }
-            tracePath = argv[i];
-        } else if (std::strcmp(arg, "--trace-skip") == 0) {
-            if (++i >= argc || !parseU64(argv[i], &traceSkip)) {
-                std::fprintf(stderr,
-                             "mispsim: --trace-skip needs a processed-"
-                             "event count\n");
-                return 2;
-            }
-        } else if (std::strcmp(arg, "--run-log") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --run-log needs a file argument\n");
-                return 2;
-            }
-            runLogPath = argv[i];
-        } else if (std::strcmp(arg, "--profile") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --profile needs a file argument\n");
-                return 2;
-            }
-            profilePath = argv[i];
-        } else if (std::strcmp(arg, "--shard") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --shard needs a k/N spec\n");
-                return 2;
-            }
-            shardArg = argv[i];
-        } else if (std::strcmp(arg, "--merge-frames") == 0) {
-            if (++i >= argc) {
-                std::fprintf(stderr,
-                             "mispsim: --merge-frames needs an output "
-                             "file argument\n");
-                return 2;
-            }
-            mergeOut = argv[i];
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            progressFlag = true;
-        } else if (std::strcmp(arg, "--md") == 0) {
-            markdown = true;
-        } else if (std::strcmp(arg, "--points") == 0) {
-            pointsOnly = true;
-        } else if (std::strcmp(arg, "--dry-run") == 0) {
-            dryRun = true;
-        } else if (std::strcmp(arg, "--full-stats") == 0) {
-            fullStats = true;
-        } else if (std::strcmp(arg, "--verbose") == 0) {
-            verbose = true;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "mispsim: unknown option '%s'\n", arg);
-            return usage(argv[0], 2);
-        } else if (scnArg.empty()) {
-            scnArg = arg;
-        } else if (!mergeOut.empty()) {
-            // Merge mode: the scenario comes first, then the per-shard
-            // --metrics dumps to reassemble.
-            mergeInputs.push_back(arg);
-        } else {
-            std::fprintf(stderr, "mispsim: more than one scenario file\n");
-            return usage(argv[0], 2);
-        }
-    }
-    if (scnArg.empty())
-        return usage(argv[0], 2);
-    if (!mergeOut.empty() && !shardArg.empty()) {
-        std::fprintf(stderr,
-                     "mispsim: --shard and --merge-frames are mutually "
-                     "exclusive\n");
-        return 2;
-    }
-    ShardSpec shard;
-    const bool sharded = !shardArg.empty();
-    std::string shardErr;
-    if (sharded && !parseShardSpec(shardArg, &shard, &shardErr)) {
-        std::fprintf(stderr, "mispsim: %s\n", shardErr.c_str());
-        return 2;
-    }
-
-    // Env overrides apply only when no CLI --engine flag was given.
-    if (!forceEngine) {
-        const char *envEngine = std::getenv("MISP_ENGINE");
-        if (envEngine && envEngine[0] != '\0') {
-            if (!misp::cpu::parseEngineName(envEngine, &engine)) {
-                std::fprintf(stderr,
-                             "mispsim: MISP_ENGINE wants ref or "
-                             "superblock, got '%s'\n",
-                             envEngine);
-                return 2;
-            }
-            forceEngine = true;
-        }
-    }
-
-    setQuietLogging(!verbose);
-
-    std::string path = findScenarioFile(scnArg, argv[0]);
-    if (path.empty()) {
-        std::fprintf(stderr, "mispsim: scenario '%s' not found\n",
-                     scnArg.c_str());
-        return 1;
-    }
-
-    SpecFile spec;
-    std::string err;
-    if (!SpecFile::parseFile(path, &spec, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-    Scenario sc;
-    if (!Scenario::fromSpec(spec, &sc, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-
-    // The supervision flags act on forked workers; without --isolate
-    // there is no worker to supervise, so reject the combination
-    // instead of silently ignoring it.
-    if (!isolate &&
-        (!injectSpec.empty() || deadlineMs >= 0 || retries >= 0 ||
-         backoffMs >= 0)) {
-        std::fprintf(stderr,
-                     "mispsim: --inject/--deadline/--retries/--backoff "
-                     "require --isolate\n");
-        return 2;
-    }
-    FaultPlan injected;
-    if (!injectSpec.empty() &&
-        !FaultPlan::parse(injectSpec, &injected, &err)) {
-        std::fprintf(stderr, "mispsim: --inject: %s\n", err.c_str());
-        return 2;
-    }
-    if (!onFailed.empty()) {
-        if (onFailed == "fail")
-            sc.report.onFailedPoints = FailedPointPolicy::Fail;
-        else if (onFailed == "skip")
-            sc.report.onFailedPoints = FailedPointPolicy::Skip;
-        else if (onFailed == "require_all")
-            sc.report.onFailedPoints = FailedPointPolicy::RequireAll;
-        else {
-            std::fprintf(stderr,
-                         "mispsim: --on-failed: expected fail, skip, or "
-                         "require_all, got '%s'\n",
-                         onFailed.c_str());
-            return 2;
-        }
-    }
-
-    if (!mergeOut.empty())
-        return mergeFramesMain(sc, mergeInputs, mergeOut, pointsOnly,
-                               markdown, jsonPath);
-
-    std::vector<ScenarioPoint> points;
-    if (!sc.expandPoints(quick, &points, &err)) {
-        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
-        return 1;
-    }
-
-    // --shard k/N: keep only this shard's coordinate combinations.
-    // Combinations (not raw points) are dealt round-robin so each
-    // coordinate group stays whole and its derived columns (speedup)
-    // match the serial run's; the owned points keep their global grid
-    // indices so snapshots and fault plans compose unchanged.
-    const std::size_t shardTotal = points.size();
-    std::vector<std::size_t> shardIndices;
-    std::string shardHash;
-    if (sharded) {
-        shardHash = gridConfigHash(sc, points);
-        shardIndices =
-            shardPointIndices(shard, points.size(), sc.machines.size());
-        std::vector<ScenarioPoint> owned;
-        owned.reserve(shardIndices.size());
-        for (std::size_t g : shardIndices)
-            owned.push_back(points[g]);
-        points.swap(owned);
-    }
-
-    if (dryRun) {
-        std::printf("scenario %s: %zu point(s)\n", sc.name.c_str(),
-                    points.size());
-        for (const ScenarioPoint &pt : points) {
-            std::printf("  %-10s %-18s competitors=%u",
-                        pt.machine.name.c_str(),
-                        pt.workload.name.c_str(), pt.competitors);
-            std::string coords = pt.coordString();
-            if (!coords.empty())
-                std::printf("  [%s]", coords.c_str());
-            std::printf("\n");
-        }
-        return 0;
-    }
-
-    if (!saveSnapshotDir.empty() && !fromSnapshotDir.empty()) {
-        std::fprintf(stderr, "mispsim: --save-snapshot and "
-                             "--from-snapshot are mutually exclusive\n");
-        return 2;
-    }
-    if (!saveSnapshotDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(saveSnapshotDir, ec);
-        if (ec) {
-            std::fprintf(stderr, "mispsim: cannot create '%s': %s\n",
-                         saveSnapshotDir.c_str(),
-                         ec.message().c_str());
-            return 1;
-        }
-    }
-
-    if (tracePath.empty() && traceSkip != 0) {
-        std::fprintf(stderr, "mispsim: --trace-skip requires --trace\n");
-        return 2;
-    }
-
-    std::ofstream runLogFile;
-    if (!runLogPath.empty()) {
-        runLogFile.open(runLogPath);
-        if (!runLogFile) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         runLogPath.c_str());
-            return 1;
-        }
-    }
-    obs::RunLog runLog(runLogFile.is_open() ? &runLogFile : nullptr);
-
-    ScenarioRunner::Options opts;
-    opts.forceEngine = forceEngine;
-    opts.engine = engine;
-    opts.fullStats = fullStats;
-    opts.jobs = jobs;
-    opts.isolate = isolate;
-    opts.deadlineMs = deadlineMs;
-    opts.retries = retries;
-    opts.backoffMs = backoffMs;
-    opts.faults = injected;
-    opts.snapshotSaveDir = saveSnapshotDir;
-    opts.snapshotLoadDir = fromSnapshotDir;
-    opts.traceEnabled = !tracePath.empty();
-    opts.traceSkip = traceSkip;
-    if (runLogFile.is_open())
-        opts.runLog = &runLog;
-    opts.pointIndices = shardIndices;
-    ScenarioRunner runner(opts);
-    const bool showProgress = progressFlag || !pointsOnly;
-    std::vector<PointResult> results =
-        runner.runAll(sc, points, showProgress ? &std::cerr : nullptr);
-
-    // Per-point labels for the observability artifacts: coordinates
-    // only, identical across engines and execution backends.
-    auto pointLabel = [&](std::size_t i) {
-        std::string label =
-            results[i].machine + ":" + results[i].workload;
-        std::string coords = points[i].coordString();
-        if (!coords.empty())
-            label += " " + coords;
-        return label;
-    };
-
-    if (!tracePath.empty()) {
-        std::vector<obs::TracePoint> tps;
-        tps.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i)
-            tps.push_back({pointLabel(i), &results[i].run.trace});
-        std::ofstream os(tracePath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         tracePath.c_str());
-            return 1;
-        }
-        obs::writeChromeTrace(os, tps);
-        std::fprintf(stderr, "mispsim: wrote %s\n", tracePath.c_str());
-    }
-
-    if (!profilePath.empty()) {
-        std::vector<obs::PointProfile> profiles;
-        profiles.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            obs::PointProfile p;
-            p.label = pointLabel(i);
-            p.engine = cpu::engineName(
-                forceEngine ? engine : points[i].machine.engine);
-            p.phases = results[i].run.phases;
-            p.hostSeconds = results[i].run.hostSeconds;
-            p.hostMips = results[i].run.hostMips;
-            p.instsRetired = results[i].run.instsRetired;
-            profiles.push_back(std::move(p));
-        }
-        std::ofstream os(profilePath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         profilePath.c_str());
-            return 1;
-        }
-        obs::writeProfileJson(os, profiles);
-        std::fprintf(stderr, "mispsim: wrote %s\n", profilePath.c_str());
-    }
-
-    // One columnar frame per sweep: every renderer and the assert
-    // evaluator below read the results through it.
-    const harness::MetricFrame frame = buildMetricFrame(sc, results);
-
-    if (pointsOnly) {
-        writePoints(std::cout, frame);
-    } else if (sc.report.mode == ReportMode::Events) {
-        writeEventsTable(std::cout, sc, frame, markdown);
-    } else {
-        writeTable(std::cout, sc, frame, markdown);
-    }
-
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        writeJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", jsonPath.c_str());
-    }
-
-    if (!metricsPath.empty()) {
-        std::ofstream os(metricsPath);
-        if (!os) {
-            std::fprintf(stderr, "mispsim: cannot write '%s'\n",
-                         metricsPath.c_str());
-            return 1;
-        }
-        if (sharded)
-            writeShardMetricsJson(os, sc, quick, frame, shard,
-                                  shardTotal, shardHash, shardIndices);
-        else
-            writeMetricsJson(os, sc, quick, frame);
-        std::fprintf(stderr, "mispsim: wrote %s\n", metricsPath.c_str());
-    }
-
-    int rc = 0;
-    std::size_t failedPoints = 0;
-    const bool degradeGracefully =
-        sc.report.onFailedPoints == FailedPointPolicy::Skip;
-    for (const PointResult &r : results) {
-        if (r.run.ok())
-            continue;
-        std::string what;
-        switch (r.run.status) {
-          case harness::RunStatus::MaxTicksReached:
-            what = "never finished (hit max_ticks)";
-            break;
-          case harness::RunStatus::SnapshotError:
-            what = "snapshot error: " + r.run.note;
-            break;
-          case harness::RunStatus::WorkerCrashed:
-            what = "worker crashed: " + r.run.note;
-            break;
-          case harness::RunStatus::WorkerTimeout:
-            what = "worker timed out: " + r.run.note;
-            break;
-          case harness::RunStatus::Completed:
-            what = "failed result validation";
-            break;
-        }
-        if (r.run.attempts > 1)
-            what += " [attempts=" + std::to_string(r.run.attempts) + "]";
-        std::fprintf(stderr,
-                     "mispsim: point machine=%s workload=%s "
-                     "competitors=%u %s\n",
-                     r.machine.c_str(), r.workload.c_str(),
-                     r.competitors, what.c_str());
         // Infrastructure failures degrade instead of failing when the
         // policy says skip; simulation outcomes (max_ticks, invalid
         // results) are real findings and always fail the run.
-        if (harness::runStatusIsInfraFailure(r.run.status) &&
-            degradeGracefully)
+        if (infra && degradeGracefully)
             ++failedPoints;
         else
             rc = 1;
@@ -723,16 +176,17 @@ main(int argc, char **argv)
     // shard sees only its slice of the grid — cross-combination
     // references would dangle — so asserts are deferred to the
     // --merge-frames pass over the reassembled frame.
-    if (sharded) {
+    if (shard) {
         if (!sc.report.asserts.empty())
             std::fprintf(stderr,
                          "mispsim: %zu [report] assert(s) deferred to "
                          "--merge-frames (--shard %zu/%zu)\n",
-                         sc.report.asserts.size(), shard.index,
-                         shard.count);
+                         sc.report.asserts.size(), shard->spec.index,
+                         shard->spec.count);
     } else {
         std::vector<AssertFailure> failures;
         std::size_t skippedGroups = 0;
+        std::string err;
         if (!evaluateAsserts(sc, frame, &failures, &err,
                              &skippedGroups)) {
             std::fprintf(stderr, "mispsim: %s\n", err.c_str());
@@ -765,4 +219,206 @@ main(int argc, char **argv)
         rc = 4;
     }
     return rc;
+}
+
+/**
+ * `--merge-frames OUT IN...`: reassemble per-shard `--metrics` dumps
+ * into one frame, written to OUT in the serial format, and finish it
+ * like a serial run (the shards' deferred asserts run here).
+ */
+int
+mergeFrames(const CliOptions &cli, const Scenario &sc)
+{
+    std::string err;
+    std::vector<ShardDump> dumps;
+    for (std::size_t i = 1; i < cli.args.size(); ++i) {
+        ShardDump dump;
+        if (!readShardDump(cli.args[i], &dump, &err)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            return 1;
+        }
+        dumps.push_back(std::move(dump));
+    }
+    // The grid is re-expanded under the mode the shards ran in;
+    // mergeShardDumps fails closed if the dumps disagree on it.
+    const bool quick = dumps[0].quick;
+    std::vector<ScenarioPoint> grid;
+    harness::MetricFrame frame;
+    if (!sc.expandPoints(quick, &grid, &err) ||
+        !mergeShardDumps(sc, quick, grid, dumps, &frame, &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
+    }
+    return finishRun(cli, sc, quick, frame, nullptr, nullptr,
+                     cli.mergeOut);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    CliOptions cli;
+    std::string err;
+    if (!parseMispsimArgs(argc, argv, &cli, &err)) {
+        if (err.empty())
+            return usage(argv[0], 2);
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 2;
+    }
+    if (cli.help)
+        return usage(argv[0], 0);
+    if (cli.listWorkloads) {
+        listWorkloads();
+        return 0;
+    }
+
+    setQuietLogging(!cli.verbose);
+
+    const std::string &scnArg = cli.args[0];
+    std::string path = findScenarioFile(scnArg, argv[0]);
+    if (path.empty()) {
+        std::fprintf(stderr, "mispsim: scenario '%s' not found\n",
+                     scnArg.c_str());
+        return 1;
+    }
+    SpecFile spec;
+    Scenario sc;
+    if (!SpecFile::parseFile(path, &spec, &err) ||
+        !Scenario::fromSpec(spec, &sc, &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
+    }
+    if (cli.onFailed)
+        sc.report.onFailedPoints = *cli.onFailed;
+
+    if (!cli.mergeOut.empty())
+        return mergeFrames(cli, sc);
+
+    std::vector<ScenarioPoint> points;
+    if (!sc.expandPoints(cli.quick, &points, &err)) {
+        std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+        return 1;
+    }
+
+    // --shard k/N: keep only this shard's coordinate combinations.
+    // Combinations (not raw points) are dealt round-robin so each
+    // coordinate group stays whole and its derived columns (speedup)
+    // match the serial run's; the owned points keep their global grid
+    // indices so snapshots and fault plans compose unchanged.
+    const bool sharded = !cli.shard.empty();
+    ShardRun shard;
+    if (sharded) {
+        shard.spec = cli.shardSpec;
+        shard.totalPoints = points.size();
+        shard.configHash = gridConfigHash(sc, points);
+        shard.indices = shardPointIndices(cli.shardSpec, points.size(),
+                                          sc.machines.size());
+        std::vector<ScenarioPoint> owned;
+        owned.reserve(shard.indices.size());
+        for (std::size_t g : shard.indices)
+            owned.push_back(points[g]);
+        points.swap(owned);
+    }
+
+    if (cli.dryRun) {
+        std::printf("scenario %s: %zu point(s)\n", sc.name.c_str(),
+                    points.size());
+        for (const ScenarioPoint &pt : points) {
+            std::printf("  %-10s %-18s competitors=%u",
+                        pt.machine.name.c_str(),
+                        pt.workload.name.c_str(), pt.competitors);
+            std::string coords = pt.coordString();
+            if (!coords.empty())
+                std::printf("  [%s]", coords.c_str());
+            std::printf("\n");
+        }
+        return 0;
+    }
+
+    if (!cli.saveSnapshotDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(cli.saveSnapshotDir, ec);
+        if (ec) {
+            std::fprintf(stderr, "mispsim: cannot create '%s': %s\n",
+                         cli.saveSnapshotDir.c_str(),
+                         ec.message().c_str());
+            return 1;
+        }
+    }
+
+    std::ofstream runLogFile;
+    if (!cli.runLogPath.empty() && !openOutput(cli.runLogPath, &runLogFile))
+        return 1;
+    obs::RunLog runLog(runLogFile.is_open() ? &runLogFile : nullptr);
+
+    ScenarioRunner::Options opts;
+    opts.forceEngine = cli.engine.has_value();
+    opts.engine = cli.engine.value_or(cpu::Engine::Superblock);
+    opts.fullStats = cli.fullStats;
+    opts.jobs = cli.jobs.value_or(1);
+    opts.isolate = cli.isolate;
+    opts.deadlineMs = cli.deadlineMs ? std::int64_t{*cli.deadlineMs} : -1;
+    opts.retries = cli.retries ? static_cast<int>(*cli.retries) : -1;
+    opts.backoffMs = cli.backoffMs ? static_cast<int>(*cli.backoffMs) : -1;
+    opts.faults = cli.faults;
+    opts.snapshotSaveDir = cli.saveSnapshotDir;
+    opts.snapshotLoadDir = cli.fromSnapshotDir;
+    opts.traceEnabled = !cli.tracePath.empty();
+    opts.traceSkip = cli.traceSkip;
+    if (runLogFile.is_open())
+        opts.runLog = &runLog;
+    opts.pointIndices = shard.indices;
+    ScenarioRunner runner(opts);
+    const bool showProgress = cli.progress || !cli.pointsOnly;
+    std::vector<PointResult> results =
+        runner.runAll(sc, points, showProgress ? &std::cerr : nullptr);
+
+    // Per-point labels for the observability artifacts: coordinates
+    // only, identical across engines and execution backends.
+    auto pointLabel = [&](std::size_t i) {
+        std::string label =
+            results[i].machine + ":" + results[i].workload;
+        std::string coords = points[i].coordString();
+        if (!coords.empty())
+            label += " " + coords;
+        return label;
+    };
+
+    if (!cli.tracePath.empty()) {
+        std::vector<obs::TracePoint> tps;
+        tps.reserve(results.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            tps.push_back({pointLabel(i), &results[i].run.trace});
+        if (!writeOutput(cli.tracePath, [&](std::ostream &os) {
+                obs::writeChromeTrace(os, tps);
+            }))
+            return 1;
+    }
+
+    if (!cli.profilePath.empty()) {
+        std::vector<obs::PointProfile> profiles;
+        profiles.reserve(results.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            obs::PointProfile p;
+            p.label = pointLabel(i);
+            p.engine = cpu::engineName(
+                cli.engine.value_or(points[i].machine.engine));
+            p.phases = results[i].run.phases;
+            p.hostSeconds = results[i].run.hostSeconds;
+            p.hostMips = results[i].run.hostMips;
+            p.instsRetired = results[i].run.instsRetired;
+            profiles.push_back(std::move(p));
+        }
+        if (!writeOutput(cli.profilePath, [&](std::ostream &os) {
+                obs::writeProfileJson(os, profiles);
+            }))
+            return 1;
+    }
+
+    // One columnar frame per sweep: every renderer and the assert
+    // evaluator read the results through it.
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    return finishRun(cli, sc, cli.quick, frame, &results,
+                     sharded ? &shard : nullptr, cli.metricsPath);
 }
