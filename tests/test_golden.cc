@@ -1,15 +1,18 @@
 /**
  * @file
  * Golden artifacts: every scenario's `mispsim <scn> --quick --metrics`
- * output is committed under tests/golden/ and must be reproduced byte
- * for byte. Relative checks (engine vs engine, jobs vs serial, shard vs
- * serial) cannot see a change that moves every configuration the same
- * way; these files can. A deliberate change to simulated results
- * regenerates them with tools/regen_golden and says why.
+ * output and the table `mispsim <scn> --quick` prints on stdout are
+ * committed under tests/golden/ and must be reproduced byte for byte.
+ * Relative checks (engine vs engine, jobs vs serial, shard vs serial)
+ * cannot see a change that moves every configuration the same way;
+ * these files can. The table golden is also the spec of what each
+ * scenario renders. A deliberate change to simulated results or to a
+ * rendered table regenerates them with tools/regen_golden and says
+ * why.
  *
  * The run below is the one mispsim performs: parse + expand the spec
  * in quick mode, run the grid, build the MetricFrame, and render it
- * with writeMetricsJson.
+ * with writeMetricsJson and the scenario's table renderer.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/scenario.hh"
 #include "driver/spec.hh"
@@ -65,9 +69,14 @@ loadScenario(const fs::path &scn)
     return sc;
 }
 
-/** The `--quick --metrics` artifact of @p sc, rendered in memory. */
-std::string
-quickMetrics(const Scenario &sc)
+/** What one `mispsim <scn> --quick` run writes, rendered in memory. */
+struct QuickArtifacts {
+    std::string metrics; ///< the --metrics file
+    std::string table;   ///< stdout
+};
+
+QuickArtifacts
+quickArtifacts(const Scenario &sc)
 {
     std::vector<ScenarioPoint> grid;
     std::string err;
@@ -76,16 +85,24 @@ quickMetrics(const Scenario &sc)
     opts.hostLines = false;
     const std::vector<PointResult> results =
         ScenarioRunner(opts).runAll(sc, grid);
-    std::ostringstream os;
-    writeMetricsJson(os, sc, /*quickMode=*/true,
-                     buildMetricFrame(sc, results));
-    return os.str();
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    QuickArtifacts out;
+    std::ostringstream metrics;
+    writeMetricsJson(metrics, sc, /*quickMode=*/true, frame);
+    out.metrics = metrics.str();
+    std::ostringstream table;
+    if (sc.report.mode == ReportMode::Events)
+        writeEventsTable(table, sc, frame, /*markdown=*/false);
+    else
+        writeTable(table, sc, frame, /*markdown=*/false);
+    out.table = table.str();
+    return out;
 }
 
 fs::path
-goldenPath(const std::string &name)
+goldenPath(const std::string &name, const char *kind)
 {
-    return kRoot / "tests" / "golden" / (name + ".quick.metrics.json");
+    return kRoot / "tests" / "golden" / (name + ".quick." + kind);
 }
 
 std::vector<fs::path>
@@ -102,20 +119,24 @@ scenarioFiles()
 
 } // namespace
 
-TEST(Golden, QuickMetricsByteIdentical)
+TEST(Golden, QuickArtifactsByteIdentical)
 {
     const std::vector<fs::path> scns = scenarioFiles();
     ASSERT_FALSE(scns.empty());
     for (const fs::path &scn : scns) {
-        const fs::path path = goldenPath(scn.stem().string());
-        ASSERT_TRUE(fs::exists(path))
-            << path << " missing; run tools/regen_golden";
-        const std::string golden = readFile(path);
-        const std::string got = quickMetrics(loadScenario(scn));
-        EXPECT_TRUE(got == golden)
-            << scn.stem().string()
-            << ": --quick --metrics differs from its golden ("
-            << got.size() << " vs " << golden.size() << " bytes)";
+        const std::string name = scn.stem().string();
+        const fs::path metricsPath = goldenPath(name, "metrics.json");
+        const fs::path tablePath = goldenPath(name, "table.txt");
+        ASSERT_TRUE(fs::exists(metricsPath) && fs::exists(tablePath))
+            << name << ": golden missing; run tools/regen_golden";
+        const QuickArtifacts got = quickArtifacts(loadScenario(scn));
+        const std::string metrics = readFile(metricsPath);
+        EXPECT_TRUE(got.metrics == metrics)
+            << name << ": --quick --metrics differs from its golden ("
+            << got.metrics.size() << " vs " << metrics.size()
+            << " bytes)";
+        EXPECT_EQ(got.table, readFile(tablePath))
+            << name << ": the --quick table differs from its golden";
     }
 }
 
@@ -128,5 +149,6 @@ TEST(Golden, OneWorkloadKnobPerturbedFails)
     ASSERT_FALSE(sc.workload.params.prefault);
     std::string err;
     ASSERT_TRUE(sc.workload.apply("prefault", "true", &err)) << err;
-    EXPECT_FALSE(quickMetrics(sc) == readFile(goldenPath("smoke")));
+    EXPECT_FALSE(quickArtifacts(sc).metrics ==
+                 readFile(goldenPath("smoke", "metrics.json")));
 }
