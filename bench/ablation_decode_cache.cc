@@ -189,11 +189,15 @@ main(int argc, char **argv)
         return 1;
     bool fullIdentical = false;
     {
-        const driver::PointResult *rRef =
-            driver::findResult(grid, "dc_off", "dense_mvm", 0);
-        const driver::PointResult *rSb =
-            driver::findResult(grid, "dc_sb", "dense_mvm", 0);
-        MISP_ASSERT(rRef && rSb);
+        // Frame rows are in grid order: a row index is a grid index.
+        const harness::MetricFrame frame =
+            driver::buildMetricFrame(sc, grid);
+        const std::size_t iRef = frame.findRow("dc_off", "dense_mvm", 0);
+        const std::size_t iSb = frame.findRow("dc_sb", "dense_mvm", 0);
+        MISP_ASSERT(iRef != harness::MetricFrame::npos &&
+                    iSb != harness::MetricFrame::npos);
+        const driver::PointResult *rRef = &grid[iRef];
+        const driver::PointResult *rSb = &grid[iSb];
         fullIdentical = rSb->run.ticks == rRef->run.ticks &&
                         rRef->run.valid && rSb->run.valid &&
                         rSb->run.instsRetired == rRef->run.instsRetired;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "driver/spec.hh"
 
@@ -363,6 +364,36 @@ parseMispsimArgs(int argc, const char *const *argv, CliOptions *out,
         return fail("--merge-frames needs at least one shard dump");
     if (merge && !out->shard.empty())
         return fail("--shard and --merge-frames are mutually exclusive");
+    // Merge mode reassembles finished shards and runs nothing, so a
+    // flag that only acts on a run would be silently ignored.
+    if (merge) {
+        const std::pair<bool, const char *> runOnly[] = {
+            {!out->metricsPath.empty(), "--metrics"},
+            {!out->tracePath.empty(), "--trace"},
+            {out->traceSkip != 0, "--trace-skip"},
+            {!out->profilePath.empty(), "--profile"},
+            {!out->runLogPath.empty(), "--run-log"},
+            {out->progress, "--progress"},
+            {out->fullStats, "--full-stats"},
+            {out->jobs.has_value(), "--jobs"},
+            {out->isolate, "--isolate"},
+            {out->engine.has_value(), "--engine"},
+            {out->dryRun, "--dry-run"},
+            {!out->saveSnapshotDir.empty(), "--save-snapshot"},
+            {!out->fromSnapshotDir.empty(), "--from-snapshot"},
+            {out->deadlineMs.has_value(), "--deadline"},
+            {out->retries.has_value(), "--retries"},
+            {out->backoffMs.has_value(), "--backoff"},
+            {!out->inject.empty(), "--inject"},
+        };
+        for (const auto &[given, name] : runOnly) {
+            if (given) {
+                *err = std::string(name) +
+                       " acts on a run; --merge-frames runs nothing";
+                return false;
+            }
+        }
+    }
     if (!out->shard.empty() &&
         !parseShardSpec(out->shard, &out->shardSpec, err))
         return false;

@@ -179,22 +179,6 @@ class ScenarioRunner
     Options opts_;
 };
 
-/** Result at (machine, workload, competitors); nullptr if absent.
- *  Kept for run-equivalence tests comparing raw RunRecords; result
- *  *metrics* are read through the MetricFrame. */
-const PointResult *findResult(const std::vector<PointResult> &results,
-                              const std::string &machine,
-                              const std::string &workload,
-                              unsigned competitors);
-
-/** Result on @p machine whose coords contain every (key, value) pair
- *  of @p coords; nullptr if absent (see findResult's caveat). */
-const PointResult *
-findResultCoords(const std::vector<PointResult> &results,
-                 const std::string &machine,
-                 const std::vector<std::pair<std::string, std::string>>
-                     &coords);
-
 /**
  * Build the sweep's MetricFrame — the single translation from grid
  * results to the queryable metrics store every consumer (asserts,

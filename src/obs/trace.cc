@@ -5,7 +5,7 @@
 
 namespace misp::obs {
 
-thread_local TraceRecorder *tlsTrace = nullptr;
+constinit thread_local TraceRecorder *tlsTrace = nullptr;
 
 namespace {
 

@@ -220,8 +220,12 @@ class TraceRecorder
 
 /** The active recorder of the current worker thread (one point runs
  *  per thread at a time). Null whenever tracing is off — the hook cost
- *  is then one thread-local load and branch. */
-extern thread_local TraceRecorder *tlsTrace;
+ *  is then one thread-local load and branch. `constinit` tells every
+ *  includer that the variable needs no dynamic initialization, so an
+ *  access reads the TLS slot directly instead of calling the TLS
+ *  wrapper function; UBSan reported the wrapper's result as a
+ *  null-pointer load. */
+extern constinit thread_local TraceRecorder *tlsTrace;
 
 /** Model-side hook entry point. */
 inline void

@@ -63,7 +63,8 @@ buildDenseMvm(const WorkloadParams &p)
     const std::uint64_t n = p.extraU64("rows", 512 * p.scale);
     const std::uint64_t m = p.extraU64("dim", 128);
     // Modeled FP work per row, calibrated so the compute-to-page-fault
-    // ratio matches the paper's scale (see DESIGN.md).
+    // ratio matches the paper's scale (see docs/ARCHITECTURE.md,
+    // "Workload suite").
     const std::uint64_t rowFlops = m * 9600;
 
     auto aVals = randomInts(n * m, p.seed);

@@ -14,7 +14,8 @@
  * synthetic OpenMP-style loop-nest generator whose serializing-event
  * profile (serial-init pages, barrier cadence, syscall rates, AMS
  * syscall rate for art) is shaped after the paper's Table 1. See
- * DESIGN.md §2 for the substitution rationale.
+ * docs/ARCHITECTURE.md, "Workload suite", for the substitution
+ * rationale.
  */
 
 #ifndef MISP_WORKLOADS_WORKLOAD_HH

@@ -56,6 +56,18 @@ runScenarioText(const std::string &text, unsigned jobs = 1)
     return ScenarioRunner(opts).runAll(sc, pts);
 }
 
+/** The result on @p machine at @p coords, looked up through the
+ *  MetricFrame (its rows are in result order); nullptr if absent. */
+const PointResult *
+resultAt(const std::vector<PointResult> &results,
+         const std::string &machine,
+         const std::vector<harness::MetricFrame::Coord> &coords)
+{
+    const std::size_t row =
+        buildMetricFrame(Scenario{}, results).findRow(machine, coords);
+    return row == harness::MetricFrame::npos ? nullptr : &results[row];
+}
+
 /** The pre-port runWorkload() loop every hand-rolled bench shared:
  *  build, load unpinned, run to completion, validate, snapshot. */
 struct HandRolledRun {
@@ -216,7 +228,7 @@ TEST(PortedBenches, Fig5SignalSweepMatchesHandRolledLoop)
         cfg.misp.signalCycles = cost;
         HandRolledRun old = handRolledRunWorkload(
             cfg, rt::Backend::Shred, "dense_mvm", params);
-        const PointResult *r = findResultCoords(
+        const PointResult *r = resultAt(
             results, "misp",
             {{"machine.signal_cycles", std::to_string(cost)}});
         ASSERT_NE(r, nullptr);
@@ -250,8 +262,8 @@ TEST(PortedBenches, SerializationPolicySweepMatchesHandRolledLoop)
         cfg.misp.serialization = policy;
         HandRolledRun old = handRolledRunWorkload(
             cfg, rt::Backend::Shred, "gauss", params);
-        const PointResult *r = findResultCoords(
-            results, "misp", {{"machine.serialization", coord}});
+        const PointResult *r =
+            resultAt(results, "misp", {{"machine.serialization", coord}});
         ASSERT_NE(r, nullptr);
         EXPECT_EQ(r->run.ticks, old.ticks) << coord;
         EXPECT_DOUBLE_EQ(r->run.events.suspendedCycles,
@@ -279,7 +291,7 @@ TEST(PortedBenches, PageprobeSweepMatchesHandRolledLoop)
         HandRolledRun old = handRolledRunWorkload(
             arch::SystemConfig::uniprocessor(7), rt::Backend::Shred,
             "dense_mvm", params);
-        const PointResult *r = findResultCoords(
+        const PointResult *r = resultAt(
             results, "misp",
             {{"workload.prefault", prefault ? "true" : "false"}});
         ASSERT_NE(r, nullptr);
@@ -287,10 +299,11 @@ TEST(PortedBenches, PageprobeSweepMatchesHandRolledLoop)
         EXPECT_EQ(r->run.events.amsPageFaults, old.events.amsPageFaults);
         EXPECT_EQ(r->run.events.omsPageFaults, old.events.omsPageFaults);
     }
-    const PointResult *off = findResultCoords(
-        results, "misp", {{"workload.prefault", "false"}});
-    const PointResult *on = findResultCoords(
-        results, "misp", {{"workload.prefault", "true"}});
+    const PointResult *off =
+        resultAt(results, "misp", {{"workload.prefault", "false"}});
+    const PointResult *on =
+        resultAt(results, "misp", {{"workload.prefault", "true"}});
+    ASSERT_TRUE(off && on);
     EXPECT_GT(off->run.events.amsPageFaults,
               on->run.events.amsPageFaults);
 }

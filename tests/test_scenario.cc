@@ -503,10 +503,14 @@ TEST(RunnerEquivalence, Fig4StyleMachinesMatchHandRolledRuns)
                         "[machine misp]\nprocessors = 7\nbackend = shred\n"
                         "[workload]\nname = dense_mvm\nworkers = 7\n");
     ASSERT_EQ(results.size(), 2u);
-    const PointResult *r1p = findResult(results, "1p", "dense_mvm", 0);
-    const PointResult *rMisp = findResult(results, "misp", "dense_mvm", 0);
-    ASSERT_NE(r1p, nullptr);
-    ASSERT_NE(rMisp, nullptr);
+    // Frame rows are in result order, so a row index is a result index.
+    const harness::MetricFrame frame = buildMetricFrame(Scenario{}, results);
+    const std::size_t i1p = frame.findRow("1p", "dense_mvm", 0);
+    const std::size_t iMisp = frame.findRow("misp", "dense_mvm", 0);
+    ASSERT_NE(i1p, harness::MetricFrame::npos);
+    ASSERT_NE(iMisp, harness::MetricFrame::npos);
+    const PointResult *r1p = &results[i1p];
+    const PointResult *rMisp = &results[iMisp];
 
     EXPECT_EQ(r1p->run.ticks, oneP);
     EXPECT_EQ(rMisp->run.ticks, misp);

@@ -737,6 +737,35 @@ TEST(CliHelp, MispsimUsageErrors)
         EXPECT_TRUE(mispsimUsageError(args)) << line;
     }
 
+    // Merge mode runs nothing: every flag that only acts on a run is
+    // rejected instead of silently ignored.
+    const std::vector<std::vector<const char *>> runOnly = {
+        {"--metrics", "m.json"},
+        {"--trace", "t.json"},
+        {"--trace", "t.json", "--trace-skip", "5"},
+        {"--profile", "p.json"},
+        {"--run-log", "r.jsonl"},
+        {"--progress"},
+        {"--full-stats"},
+        {"--jobs", "3"},
+        {"--isolate"},
+        {"--engine=ref"},
+        {"--dry-run"},
+        {"--save-snapshot", "snaps"},
+        {"--from-snapshot", "snaps"},
+        {"--isolate", "--deadline", "100"},
+        {"--isolate", "--retries", "1"},
+        {"--isolate", "--backoff", "50"},
+        {"--isolate", "--inject", "crash@0"},
+    };
+    for (const std::vector<const char *> &extra : runOnly) {
+        std::vector<const char *> args = {"grid_large.scn", "--quick",
+                                          "--merge-frames", "out.json",
+                                          "s0.json", "s1.json"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        EXPECT_TRUE(mispsimUsageError(args)) << extra[0];
+    }
+
     // The same flags in a valid combination parse, and --help wins
     // over whatever follows it.
     EXPECT_FALSE(mispsimUsageError(
@@ -745,6 +774,9 @@ TEST(CliHelp, MispsimUsageErrors)
          "--shard", "1/2", "--jobs", "2", "--on-failed", "skip"}));
     EXPECT_FALSE(mispsimUsageError(
         {"smoke.scn", "--merge-frames", "o.json", "s0.json", "s1.json"}));
+    EXPECT_FALSE(mispsimUsageError(
+        {"smoke.scn", "--merge-frames", "o.json", "s0.json", "--quick",
+         "--on-failed", "skip", "-o", "r.json", "--md", "--points"}));
     EXPECT_FALSE(mispsimUsageError({"--help", "--bogus"}));
 
     // Cross-flag parsing fills the derived fields.
