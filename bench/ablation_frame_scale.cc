@@ -155,7 +155,7 @@ lookupMix(const MetricFrame &frame, const Sweep &sweep,
             sweep.aValues[(g / sweep.bValues.size()) %
                           sweep.aValues.size()];
         const std::string &b = sweep.bValues[g % sweep.bValues.size()];
-        // Full-tuple findRow (the wrapper benches' lookup).
+        // Full-tuple findRow (the multi-axis lookup).
         std::size_t r = frame.findRow(
             "misp", {{"machine.a", a}, {"machine.b", b}});
         fold = fold * 31 + r;

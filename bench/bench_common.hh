@@ -1,12 +1,10 @@
 /**
  * @file
- * Shared experiment plumbing for the paper-reproduction benches.
- *
- * Each bench binary regenerates one table or figure from the paper's
- * evaluation (Section 5); see docs/RESULTS.md for the index. Every
- * bench accepts `--quick` (smaller inputs for CI smoke runs) and most
- * `--engine=ref|superblock`; the scenario wrappers also take
- * `--points`. The flags are rows of mispsim's table
+ * Shared experiment plumbing for the benches: Table 2 and the
+ * host-side ablations (each paper figure is a `mispsim` scenario;
+ * see docs/RESULTS.md for the index). Every bench
+ * accepts `--quick` (smaller inputs for CI smoke runs) and most
+ * `--engine=ref|superblock`. The flags are rows of mispsim's table
  * (driver/cli_help.hh), and any other argument exits 2.
  */
 
@@ -16,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
-#include <iostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,14 +52,6 @@ parseBenchFlags(int argc, char **argv,
     return cli;
 }
 
-/** Sum of retired guest instructions over every sequencer of every
- *  processor in @p sys (shared with the scenario runner). */
-inline std::uint64_t
-totalInstsRetired(arch::MispSystem &sys)
-{
-    return harness::totalInstsRetired(sys);
-}
-
 /** The paper's default machine: 8 sequencers at 3.0 GHz. */
 inline arch::SystemConfig
 mispUni(unsigned numAms = 7)
@@ -86,22 +75,6 @@ inline arch::SystemConfig
 smp8()
 {
     return mispMp({0, 0, 0, 0, 0, 0, 0, 0});
-}
-
-inline arch::SystemConfig
-smp1()
-{
-    return mispMp({0});
-}
-
-/** Uniform host-throughput line, one per measured run, on stderr (so
- *  figure tables on stdout stay clean). Shared with the scenario
- *  runner via harness::reportHost. @return MIPS. */
-inline double
-reportHost(const std::string &name, std::uint64_t instsRetired,
-           double hostSeconds, cpu::Engine engine)
-{
-    return harness::reportHost(name, instsRetired, hostSeconds, engine);
 }
 
 /** Build + load + run one workload to completion; harvest stats —
@@ -145,43 +118,6 @@ benchSuite(bool quick)
         out.push_back(&info);
     }
     return out;
-}
-
-/**
- * The shared scaffolding of every scenario-wrapper bench: quiet
- * logging, the common flags (--quick / --engine / --points),
- * the run of @p scn through the scenario runner, and the sweep's
- * MetricFrame — the one store the bench's presentation code queries
- * (the same frame `mispsim` renders and asserts against). Returns
- * true when the caller should exit immediately with *exitCode — on a
- * failed run (1), or after `--points` printed the canonical
- * equivalence lines (0).
- */
-inline bool
-scenarioBenchMain(const char *scn, const char *tool, int argc,
-                  char **argv, driver::Scenario *sc,
-                  harness::MetricFrame *frame, int *exitCode)
-{
-    setQuietLogging(true);
-    const driver::CliOptions cli =
-        parseBenchFlags(argc, argv, {"--quick", "--engine", "--points"});
-
-    driver::RunnerOptions opts;
-    opts.forceEngine = cli.engine.has_value();
-    opts.engine = gBenchEngine;
-    std::vector<driver::PointResult> results;
-    if (!driver::runScenarioByName(scn, argv[0], cli.quick, opts, tool,
-                                   sc, &results)) {
-        *exitCode = 1;
-        return true;
-    }
-    *frame = driver::buildMetricFrame(*sc, results);
-    if (cli.pointsOnly) {
-        driver::writePoints(std::cout, *frame);
-        *exitCode = 0;
-        return true;
-    }
-    return false;
 }
 
 inline void

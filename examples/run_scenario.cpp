@@ -4,14 +4,16 @@
  *
  * The `mispsim` CLI is a thin shell around this exact sequence: parse
  * a spec, type it into a Scenario, expand the sweep grid, run it, and
- * render the results. Embedding the spec as a string is handy for
- * programmatic experiments and for tests.
+ * render the results — the per-point table, then the figure the
+ * spec's `[report] column` lines declare. Embedding the spec as a
+ * string is handy for programmatic experiments and for tests.
  *
  *   $ ./build/run_scenario
  */
 
 #include <iostream>
 
+#include "driver/report.hh"
 #include "driver/runner.hh"
 #include "sim/logging.hh"
 
@@ -40,6 +42,10 @@ main()
         [sweep]
         machine.ams = 1, 3, 7
         workload.name = dense_mvm, gauss
+
+        [report]
+        column = Mcycles at 7 AMS : misp[machine.ams=7].mcycles
+        column = speedup 1 -> 7 AMS : misp[machine.ams=1].ticks / misp[machine.ams=7].ticks
     )";
 
     SpecFile file;
@@ -58,22 +64,12 @@ main()
     std::vector<PointResult> results =
         ScenarioRunner(opts).runAll(sc, grid, &std::cerr);
 
-    writeTable(std::cout, sc, buildMetricFrame(sc, results),
-               /*markdown=*/false);
-
-    // Results are plain structs: each point carries the coordinates
-    // plus the harness::RunRecord its run measured.
-    for (const PointResult &r : results) {
-        if (r.workload != "dense_mvm")
-            continue;
-        for (const auto &[key, value] : r.coords) {
-            if (key == "machine.ams" && value == "7") {
-                std::cout << "\ndense_mvm on 1 OMS + 7 AMS: "
-                          << r.run.megaCycles() << " Mcycles, "
-                          << r.run.events.serializations
-                          << " serializations\n";
-            }
-        }
+    // Every renderer reads the sweep through one MetricFrame.
+    const harness::MetricFrame frame = buildMetricFrame(sc, results);
+    writeTable(std::cout, sc, frame, /*markdown=*/false);
+    if (!writeFigure(std::cout, sc, frame, /*markdown=*/false, &err)) {
+        std::cerr << "run_scenario: " << err << "\n";
+        return 1;
     }
     return 0;
 }

@@ -136,7 +136,8 @@ mispsimFlags()
          "offending file), write the reassembled\n"
          "frame to OUT byte-identical to a serial\n"
          "run's --metrics, and evaluate the\n"
-         "deferred [report] asserts on it",
+         "deferred [report] asserts on it; flags\n"
+         "that only act on a run are rejected",
          &CliOptions::mergeOut},
         {"--progress", nullptr,
          "force per-point progress lines on stderr\n"
@@ -154,7 +155,8 @@ mispsimFlags()
          &CliOptions::markdown},
         {"--points", nullptr,
          "print canonical point lines only (the\n"
-         "bench-equivalence diff format)",
+         "engine and --jobs equivalence diff\n"
+         "format)",
          &CliOptions::pointsOnly},
         {"--dry-run", nullptr, "expand and print the grid without running",
          &CliOptions::dryRun},

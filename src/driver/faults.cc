@@ -25,16 +25,6 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t");
-    return s.substr(b, e - b + 1);
-}
-
 bool
 parseKind(const std::string &name, FaultKind *out)
 {

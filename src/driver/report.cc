@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <set>
@@ -370,21 +371,67 @@ isComparison(const std::string &tok)
            tok == "==" || tok == "!=";
 }
 
+/** Split `AGG` or `AGG[...]` into the fold's name and its selector
+ *  text (brackets included; "" when there is none). False when @p tok
+ *  names no aggregate. */
 bool
-isAggregateName(const std::string &tok)
+splitAggregate(const std::string &tok, std::string *func,
+               std::string *selector)
 {
-    return tok == "avg" || tok == "geomean" || tok == "min" ||
-           tok == "max" || tok == "sum" || tok == "count";
+    const std::size_t bracket = tok.find('[');
+    *func = tok.substr(0, bracket);
+    *selector = bracket == std::string::npos ? "" : tok.substr(bracket);
+    return *func == "avg" || *func == "geomean" || *func == "min" ||
+           *func == "max" || *func == "sum" || *func == "count";
+}
+
+/** The workloads an aggregate selector `[workload.name=<sel>]` picks,
+ *  expanded exactly as `[sweep] workload.name = <sel>` would be. */
+bool
+selectedWorkloads(const std::string &name, const std::string &selector,
+                  std::set<std::string> *out, std::string *why)
+{
+    const std::string key = "[workload.name=";
+    if (selector.rfind(key, 0) != 0 || selector.back() != ']' ||
+        selector.size() == key.size() + 1) {
+        *why = name + ": expected the selector [workload.name=<all|"
+                      "suite:NAME|workload>]";
+        return false;
+    }
+    std::string msg;
+    for (const wl::WorkloadInfo *info : wl::selectWorkloads(
+             selector.substr(key.size(), selector.size() - key.size() - 1),
+             &msg))
+        out->insert(info->name);
+    if (out->empty()) {
+        *why = name + ": " + msg;
+        return false;
+    }
+    return true;
+}
+
+/** The workload group @p g runs: its `workload.name` coordinate, or
+ *  the [workload] target when the sweep does not vary it. */
+const std::string &
+groupWorkload(const EvalCtx &ctx, std::size_t g)
+{
+    for (const MetricFrame::Coord &c : ctx.frame.groupCoords(g)) {
+        if (c.first == "workload.name")
+            return c.second;
+    }
+    return ctx.sc.workload.name;
 }
 
 bool parseSide(Tokenizer &tz, const EvalCtx &ctx, double *out,
                std::string *why);
 
-/** `AGG '(' side ')'`: evaluate the body once per coordinate group
- *  (re-walking the same tokens with each group's context) and fold. */
+/** `AGG SELECTOR? '(' side ')'`: evaluate the body once per
+ *  coordinate group (re-walking the same tokens with each group's
+ *  context) and fold. A selector keeps only the groups whose workload
+ *  it picks. */
 bool
-parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
-               const std::string &func, double *out, std::string *why)
+parseAggregate(Tokenizer &tz, const EvalCtx &ctx, const std::string &func,
+               const std::string &selector, double *out, std::string *why)
 {
     tz.take(); // the '(' the caller peeked
     const std::size_t start = tz.pos;
@@ -407,11 +454,19 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
         }
     }
 
+    const std::string name = func + selector;
+    std::set<std::string> picked;
+    if (!selector.empty() &&
+        !selectedWorkloads(name, selector, &picked, why))
+        return false;
+
     std::size_t end = start;
     std::vector<RefEcho> bodyRefs;
     std::vector<double> values;
     std::size_t degraded = 0;
     for (std::size_t g = 0; g < ctx.frame.numGroups(); ++g) {
+        if (!picked.empty() && !picked.count(groupWorkload(ctx, g)))
+            continue;
         tz.pos = start;
         const std::size_t refMark = bodyRefs.size();
         bool bodyFailed = false;
@@ -437,12 +492,12 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
         values.push_back(v);
     }
     if (degraded > 0)
-        bodyRefs.push_back({func + "(...) degraded groups skipped",
+        bodyRefs.push_back({name + "(...) degraded groups skipped",
                             double(degraded)});
     bool allDegraded = false;
     if (values.empty()) {
         if (degraded == 0) {
-            *why = func + "(...): no results to aggregate over";
+            *why = name + "(...): no results to aggregate over";
             return false;
         }
         // Every group was degraded: nothing to fold, so the aggregate
@@ -454,7 +509,7 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
     tz.pos = end;
     const std::string *close = tz.take();
     if (!close || *close != ")") {
-        *why = "expected ')' closing " + func + "(...), got " +
+        *why = "expected ')' closing " + name + "(...), got " +
                (close ? "'" + *close + "'"
                       : std::string("end of expression"));
         return false;
@@ -474,7 +529,7 @@ parseAggregate(Tokenizer &tz, const EvalCtx &ctx,
         double logSum = 0;
         for (double v : values) {
             if (v <= 0.0) {
-                *why = "geomean(...): non-positive value " +
+                *why = name + "(...): non-positive value " +
                        std::to_string(v) + " in the sweep";
                 return false;
             }
@@ -524,8 +579,10 @@ parseValue(Tokenizer &tz, const EvalCtx &ctx, double *out,
         }
         return true;
     }
-    if (isAggregateName(*tok) && tz.peek() && *tz.peek() == "(")
-        return parseAggregate(tz, ctx, *tok, out, why);
+    std::string func, selector;
+    if (tz.peek() && *tz.peek() == "(" &&
+        splitAggregate(*tok, &func, &selector))
+        return parseAggregate(tz, ctx, func, selector, out, why);
     char *end = nullptr;
     double num = std::strtod(tok->c_str(), &end);
     if (end && *end == '\0' && end != tok->c_str()) {
@@ -600,36 +657,36 @@ compare(double lhs, const std::string &op, double rhs)
     return lhs != rhs; // "!="
 }
 
-/** Evaluate one assert against one coordinate group. Returns false +
- *  @p why on a malformed expression; otherwise sets @p holds, the
- *  evaluated sides, the sweep-axis keys the evaluation consulted,
- *  and the resolved-reference echoes. */
+/** Evaluate @p text against the group of @p ctx: an assert
+ *  (`side CMP side`; sets @p holds, @p lhs and @p rhs) or, when
+ *  @p holds is null, a column (`side`; sets @p lhs). Returns false +
+ *  @p why on a malformed expression. */
 bool
-evaluateOne(const std::string &text, const Scenario &sc,
-            const MetricFrame &frame, std::size_t group, bool *holds,
-            double *lhs, double *rhs, std::set<std::string> *consulted,
-            std::vector<RefEcho> *refs, AggCache *aggCache,
-            bool *sawFailed, std::string *why)
+evaluateOne(const std::string &text, const EvalCtx &ctx, bool *holds,
+            double *lhs, double *rhs, std::string *why)
 {
     Tokenizer tz(text);
-    EvalCtx ctx{sc,   frame, group,    /*inAggregate=*/false,
-                consulted, refs,  aggCache, sawFailed};
     if (!parseSide(tz, ctx, lhs, why))
         return false;
-    const std::string *op = tz.take();
-    if (!op || !isComparison(*op)) {
-        *why = "expected a comparison (<, <=, >, >=, ==, !=), got " +
-               (op ? "'" + *op + "'" : std::string("end of expression"));
-        return false;
+    std::string cmp;
+    if (holds) {
+        const std::string *op = tz.take();
+        if (!op || !isComparison(*op)) {
+            *why = "expected a comparison (<, <=, >, >=, ==, !=), got " +
+                   (op ? "'" + *op + "'"
+                       : std::string("end of expression"));
+            return false;
+        }
+        cmp = *op;
+        if (!parseSide(tz, ctx, rhs, why))
+            return false;
     }
-    const std::string cmp = *op;
-    if (!parseSide(tz, ctx, rhs, why))
-        return false;
     if (const std::string *extra = tz.peek()) {
         *why = "unexpected trailing token '" + *extra + "'";
         return false;
     }
-    *holds = compare(*lhs, cmp, *rhs);
+    if (holds)
+        *holds = compare(*lhs, cmp, *rhs);
     return true;
 }
 
@@ -662,6 +719,75 @@ projectionLabel(const std::vector<MetricFrame::Coord> &coords,
         out += c.first + "=" + c.second;
     }
     return out;
+}
+
+// ---------------------------------------------------------------------
+// Table rendering
+// ---------------------------------------------------------------------
+
+/** The one table renderer: @p header, then @p rows rows whose cells
+ *  @p cells formats on demand. Plain text pads every column to its
+ *  widest cell, found by a first pass over the rows (no row is kept);
+ *  markdown needs no widths. */
+void
+emitTable(std::ostream &os, const std::vector<std::string> &header,
+          std::size_t rows,
+          const std::function<std::vector<std::string>(std::size_t)> &cells,
+          bool markdown)
+{
+    std::vector<std::size_t> widths(header.size());
+    for (std::size_t c = 0; c < header.size(); ++c)
+        widths[c] = header[c].size();
+    if (!markdown) {
+        for (std::size_t i = 0; i < rows; ++i) {
+            const std::vector<std::string> row = cells(i);
+            for (std::size_t c = 0; c < row.size(); ++c)
+                widths[c] = std::max(widths[c], row[c].size());
+        }
+    }
+
+    auto emitRow = [&](const std::vector<std::string> &row) {
+        if (markdown) {
+            os << "|";
+            for (std::size_t c = 0; c < row.size(); ++c)
+                os << " " << row[c] << " |";
+        } else {
+            for (std::size_t c = 0; c < row.size(); ++c) {
+                os << (c ? "  " : "");
+                os << row[c]
+                   << std::string(widths[c] - row[c].size(), ' ');
+            }
+        }
+        os << "\n";
+    };
+
+    emitRow(header);
+    if (markdown) {
+        os << "|";
+        for (std::size_t c = 0; c < header.size(); ++c)
+            os << " --- |";
+        os << "\n";
+    } else {
+        std::size_t total = 0;
+        for (std::size_t c = 0; c < widths.size(); ++c)
+            total += widths[c] + (c ? 2 : 0);
+        os << std::string(total, '-') << "\n";
+    }
+    for (std::size_t i = 0; i < rows; ++i)
+        emitRow(cells(i));
+}
+
+/** The figure's one number format: integers print as integers,
+ *  anything else with three decimals. */
+std::string
+formatNumber(double v)
+{
+    char buf[64];
+    if (v == std::floor(v) && std::fabs(v) < 1e15)
+        std::snprintf(buf, sizeof(buf), "%.0f", v == 0.0 ? 0.0 : v);
+    else
+        std::snprintf(buf, sizeof(buf), "%.3f", v);
+    return buf;
 }
 
 } // namespace
@@ -698,9 +824,9 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
             double lhs = 0, rhs = 0;
             std::vector<RefEcho> refs;
             std::string why;
-            if (!evaluateOne(a.text, sc, frame, g, &holds, &lhs, &rhs,
-                             &consulted, &refs, &aggCache, &sawFailed,
-                             &why)) {
+            const EvalCtx ctx{sc,        frame, g,         false,
+                              &consulted, &refs, &aggCache, &sawFailed};
+            if (!evaluateOne(a.text, ctx, &holds, &lhs, &rhs, &why)) {
                 if (err)
                     *err = specError(sc.specPath, a.line,
                                      "assert '" + a.text + "': " + why);
@@ -751,115 +877,224 @@ evaluateAsserts(const Scenario &sc, const MetricFrame &frame,
 }
 
 void
-writeEventsTable(std::ostream &os, const Scenario &sc,
-                 const MetricFrame &frame, bool markdown)
+writeTable(std::ostream &os, const Scenario &sc, const MetricFrame &frame,
+           bool markdown)
 {
     if (frame.numRows() == 0) {
         os << "(no points)\n";
         return;
     }
 
+    // Column set: machine, workload, the swept coords, then the
+    // mode's metrics: Mcycles and the [report]-requested speedups, or
+    // the Table-1 classes per 10^6 retired instructions.
+    const bool events = sc.report.mode == ReportMode::Events;
     std::vector<std::string> coordKeys;
-    for (const auto &[key, value] : frame.row(0).coords) {
-        (void)value;
-        if (key != "workload.name")
-            coordKeys.push_back(key);
+    for (const MetricFrame::Coord &c : frame.row(0).coords) {
+        if (c.first != "workload.name") // already the workload column
+            coordKeys.push_back(c.first);
     }
-
+    const bool vsMachine = !events && !sc.report.baselineMachine.empty();
+    const bool vsAxis = !events && !sc.report.baselineAxis.empty();
+    bool anyInvalid = false;
     bool anyFailed = false;
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
+    for (std::size_t i = 0; i < frame.numRows(); ++i) {
+        anyInvalid = anyInvalid || (!events && frame.at(i, "valid") == 0.0);
         anyFailed = anyFailed || frame.at(i, "failed") != 0.0;
-
-    std::vector<std::string> header = {"machine", "workload"};
-    for (const std::string &k : coordKeys)
-        header.push_back(k);
-    for (const char *k :
-         {"insts(M)", "oms_sys", "oms_pf", "timer", "intr", "ams_sys",
-          "ams_pf", "serial"})
-        header.push_back(k);
-    if (anyFailed)
-        header.push_back("status");
-
-    // The Table-1 classes, normalized per 10^6 retired instructions —
-    // straight reads of the frame's events_per_mi columns.
+    }
     static const char *const kPerMiColumns[] = {
         "events_per_mi.oms_syscalls", "events_per_mi.oms_page_faults",
         "events_per_mi.timer",        "events_per_mi.interrupts",
         "events_per_mi.ams_syscalls", "events_per_mi.ams_page_faults",
         "events_per_mi.serializations"};
 
-    // One row's cells at a time — two passes (width scan, emission)
-    // instead of materializing every row of the sweep.
+    std::vector<std::string> header = {"machine", "workload"};
+    header.insert(header.end(), coordKeys.begin(), coordKeys.end());
+    if (events) {
+        for (const char *k : {"insts(M)", "oms_sys", "oms_pf", "timer",
+                              "intr", "ams_sys", "ams_pf", "serial"})
+            header.push_back(k);
+    } else {
+        header.push_back("Mcycles");
+    }
+    if (vsMachine)
+        header.push_back("speedup_vs_" + sc.report.baselineMachine);
+    if (vsAxis)
+        header.push_back("vs_" + sc.report.baselineAxis + "0");
+    if (anyInvalid)
+        header.push_back("valid");
+    if (anyFailed)
+        header.push_back("status");
+
     auto formatRow = [&](std::size_t i) {
         const MetricFrame::Row &r = frame.row(i);
         std::vector<std::string> row = {r.machine, r.workload};
         for (const std::string &k : coordKeys) {
             std::string v;
-            for (const auto &[ck, cv] : r.coords) {
-                if (ck == k)
-                    v = cv;
+            for (const MetricFrame::Coord &c : r.coords) {
+                if (c.first == k)
+                    v = c.second;
             }
             row.push_back(v);
         }
         char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.2f",
-                      frame.at(i, "insts") / 1e6);
-        row.push_back(buf);
-        for (const char *col : kPerMiColumns) {
-            std::snprintf(buf, sizeof(buf), "%.3f", frame.at(i, col));
+        if (events) {
+            std::snprintf(buf, sizeof(buf), "%.2f",
+                          frame.at(i, "insts") / 1e6);
+            row.push_back(buf);
+            for (const char *col : kPerMiColumns) {
+                std::snprintf(buf, sizeof(buf), "%.3f", frame.at(i, col));
+                row.push_back(buf);
+            }
+        } else {
+            std::snprintf(buf, sizeof(buf), "%.3f",
+                          frame.at(i, "mcycles"));
             row.push_back(buf);
         }
+        // The speedup cells ("-" without a baseline or a finished run).
+        // The frame's derived column is already relative to the
+        // baseline machine of this row's group.
+        const bool ran = frame.at(i, "ticks") != 0.0;
+        auto ratio = [&](bool hasBase, double v) {
+            if (!hasBase || !ran)
+                return std::string("-");
+            std::snprintf(buf, sizeof(buf), "%.3f", v);
+            return std::string(buf);
+        };
+        if (vsMachine)
+            row.push_back(ratio(frame.rowInGroup(r.group,
+                                                 sc.report.baselineMachine) !=
+                                    MetricFrame::npos,
+                                frame.at(i, "speedup")));
+        if (vsAxis) {
+            const std::size_t base =
+                frame.axisBaselineRow(i, sc.report.baselineAxis);
+            row.push_back(ratio(base != MetricFrame::npos,
+                                base != MetricFrame::npos
+                                    ? frame.speedupOf(i, base)
+                                    : 0.0));
+        }
+        if (anyInvalid)
+            row.push_back(frame.at(i, "valid") != 0.0 ? "yes" : "NO");
         if (anyFailed)
             row.push_back(harness::runStatusName(r.status));
         return row;
     };
 
-    std::vector<std::size_t> widths(header.size());
-    for (std::size_t c = 0; c < header.size(); ++c)
-        widths[c] = header[c].size();
-    if (!markdown) {
-        for (std::size_t i = 0; i < frame.numRows(); ++i) {
-            const std::vector<std::string> row = formatRow(i);
-            for (std::size_t c = 0; c < row.size(); ++c)
-                widths[c] = std::max(widths[c], row[c].size());
-        }
-    }
-
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        if (markdown) {
-            os << "|";
-            for (std::size_t c = 0; c < row.size(); ++c)
-                os << " " << row[c] << " |";
-            os << "\n";
-        } else {
-            for (std::size_t c = 0; c < row.size(); ++c) {
-                os << (c ? "  " : "");
-                os << row[c]
-                   << std::string(widths[c] - row[c].size(), ' ');
-            }
-            os << "\n";
-        }
-    };
-
     if (!sc.title.empty())
         os << (markdown ? "### " : "") << sc.title << "\n\n";
-    os << "Serializing events per 10^6 retired instructions\n";
-    if (markdown)
-        os << "\n";
-    emitRow(header);
-    if (markdown) {
-        os << "|";
-        for (std::size_t c = 0; c < header.size(); ++c)
-            os << " --- |";
-        os << "\n";
-    } else {
-        std::size_t total = 0;
-        for (std::size_t c = 0; c < widths.size(); ++c)
-            total += widths[c] + (c ? 2 : 0);
-        os << std::string(total, '-') << "\n";
+    if (events)
+        os << "Serializing events per 10^6 retired instructions\n"
+           << (markdown ? "\n" : "");
+    emitTable(os, header, frame.numRows(), formatRow, markdown);
+}
+
+bool
+writeFigure(std::ostream &os, const Scenario &sc, const MetricFrame &frame,
+            bool markdown, std::string *err)
+{
+    if (sc.report.columns.empty() || frame.numGroups() == 0)
+        return true;
+
+    // Like an assert, a column depends on a group only through the
+    // axes its references consult, so it is evaluated once per
+    // distinct projection onto them. A degraded evaluation renders "-"
+    // and does not claim its projection: a later clean group with the
+    // same projection still fills the cell.
+    struct Column {
+        const ReportColumn *spec = nullptr;
+        std::set<std::string> consulted;
+        AggCache aggCache;
+        std::map<std::string, std::string> cells; ///< projection -> cell
+    };
+    std::vector<Column> cols(sc.report.columns.size());
+    for (std::size_t c = 0; c < cols.size(); ++c)
+        cols[c].spec = &sc.report.columns[c];
+
+    auto fill = [&](Column &c, std::size_t g) {
+        const std::vector<MetricFrame::Coord> &coords = frame.groupCoords(g);
+        auto hit = c.cells.find(projectionLabel(coords, c.consulted));
+        if (hit != c.cells.end() && hit->second != "-")
+            return true;
+        bool sawFailed = false;
+        double v = 0;
+        std::string why;
+        const EvalCtx ctx{sc,           frame,   g,           false,
+                          &c.consulted, nullptr, &c.aggCache, &sawFailed};
+        if (!evaluateOne(c.spec->expr, ctx, nullptr, &v, nullptr, &why)) {
+            *err = specError(sc.specPath, c.spec->line,
+                             "column '" + c.spec->label + "': " + why);
+            return false;
+        }
+        const bool degraded =
+            sawFailed || (!c.consulted.empty() && frame.groupHasFailure(g));
+        c.cells[projectionLabel(coords, c.consulted)] =
+            degraded ? "-" : formatNumber(v);
+        return true;
+    };
+
+    // The first evaluation tells which axes each column consults; a
+    // column that consults none is a sweep-wide summary line. The
+    // table's rows are the distinct projections onto the other
+    // columns' axes, in group order.
+    std::set<std::string> rowAxes;
+    for (Column &c : cols) {
+        if (!fill(c, 0))
+            return false;
+        rowAxes.insert(c.consulted.begin(), c.consulted.end());
     }
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
-        emitRow(formatRow(i));
+    std::vector<std::size_t> rowGroups;
+    std::set<std::string> seen;
+    for (std::size_t g = 0; g < frame.numGroups() && !rowAxes.empty();
+         ++g) {
+        for (Column &c : cols) {
+            if (!c.consulted.empty() && !fill(c, g))
+                return false;
+        }
+        if (seen.insert(projectionLabel(frame.groupCoords(g), rowAxes))
+                .second)
+            rowGroups.push_back(g);
+    }
+
+    if (!rowGroups.empty()) {
+        std::vector<std::string> header;
+        for (const MetricFrame::Coord &c : frame.groupCoords(0)) {
+            if (rowAxes.count(c.first))
+                header.push_back(c.first);
+        }
+        for (const Column &c : cols) {
+            if (!c.consulted.empty())
+                header.push_back(c.spec->label);
+        }
+        os << "\n";
+        emitTable(
+            os, header, rowGroups.size(),
+            [&](std::size_t r) {
+                const std::vector<MetricFrame::Coord> &coords =
+                    frame.groupCoords(rowGroups[r]);
+                std::vector<std::string> row;
+                for (const MetricFrame::Coord &c : coords) {
+                    if (rowAxes.count(c.first))
+                        row.push_back(c.second);
+                }
+                for (const Column &c : cols) {
+                    if (!c.consulted.empty())
+                        row.push_back(c.cells.at(
+                            projectionLabel(coords, c.consulted)));
+                }
+                return row;
+            },
+            markdown);
+    }
+    bool firstSummary = true;
+    for (const Column &c : cols) {
+        if (!c.consulted.empty())
+            continue;
+        os << (firstSummary ? "\n" : "") << (markdown ? "- " : "")
+           << c.spec->label << ": " << c.cells.at("") << "\n";
+        firstSummary = false;
+    }
+    return true;
 }
 
 } // namespace misp::driver

@@ -1,21 +1,28 @@
 /**
  * @file
- * Report layer: the `[report] mode = events` emitter (Table-1 event
- * classes normalized per 10^6 retired instructions) and the
- * `assert = <expr>` evaluator that guards paper claims from the
- * scenario file itself. Both are renderers/queries over the
- * harness::MetricFrame the runner builds from a sweep's results.
+ * Report layer: everything `mispsim` derives from a finished sweep's
+ * harness::MetricFrame for people to read — the per-point table (in
+ * `[report] mode = table` or `events`), the paper figure declared by
+ * `column = <label> : <expr>` lines, and the `assert = <expr>`
+ * evaluator that guards paper claims from the scenario file itself.
+ * Columns and asserts share one expression grammar, so a figure's
+ * spec is data in its `.scn` file, and its rendered output is a
+ * committed golden (tests/golden/<scenario>.quick.table.txt).
  *
- * Assert grammar (tokens are whitespace-separated, so machine names
- * like `1x4+4` never collide with operators; parentheses are
+ * Grammar (tokens are whitespace-separated, so machine names like
+ * `1x4+4` never collide with operators; parentheses are
  * self-delimiting and may hug their operands):
  *
  *   assert      := side CMP side
+ *   column      := LABEL ':' side
  *   side        := product (('+' | '-') product)*
  *   product     := value (('*' | '/') value)*
- *   value       := NUMBER | REF | AGG '(' side ')' | '(' side ')'
+ *   value       := NUMBER | REF | AGG AGGSEL? '(' side ')'
+ *                | '(' side ')'
  *   CMP         := '<' | '<=' | '>' | '>=' | '==' | '!='
  *   AGG         := avg | geomean | min | max | sum | count
+ *   AGGSEL      := '[workload.name=' WORKLOADS ']'
+ *   WORKLOADS   := all | suite:<suite> | <workload>
  *   REF         := <machine> SELECTOR? '.' <metric>
  *   SELECTOR    := '[' axis '=' value (',' axis '=' value)* ']'
  *   metric      := ticks | mcycles | speedup | insts | valid
@@ -67,6 +74,28 @@
  * Aggregates and per-group references compose: an aggregate inside a
  * per-group assert is a sweep-wide constant (e.g.
  * `misp.speedup >= 0.5 * avg ( misp.speedup )` bounds the spread).
+ *
+ * AGGSEL folds over one part of the sweep only: the groups whose
+ * workload (the `workload.name` coordinate, or the [workload] target
+ * when the sweep does not vary it) the selector picks. WORKLOADS is
+ * the selector `[sweep] workload.name` expands (wl::selectWorkloads),
+ * so Figure 4's per-suite averages read
+ *
+ *   avg[workload.name=suite:rms] ( ( smp8.ticks / misp.ticks - 1 ) * 100 )
+ *
+ * Columns: `column = <label> : <side>` (the label ends at the first
+ * ':') declares one column of the scenario's figure. A column is
+ * evaluated once per distinct projection of the coordinate groups onto
+ * the axes its references consult — the dedupe asserts use. The
+ * figure table has one row per distinct projection onto every
+ * per-row column's axes, keyed by those axes' values. A column whose
+ * references all sit inside aggregates consults nothing and prints as
+ * one `label: value` line under the table. Integers print as integers,
+ * anything else with three decimals; a cell whose evaluation touched a
+ * failed point prints `-`. Examples (scenarios/fig4.scn):
+ *
+ *   column = MISP : 1p.ticks / misp.ticks
+ *   column = RMS avg MISP-vs-SMP % : avg[workload.name=suite:rms] ( ... )
  *
  * Failing asserts echo every resolved reference's value in
  * AssertFailure::detail — aggregate bodies echo per coordinate group,
@@ -125,11 +154,24 @@ bool evaluateAsserts(const Scenario &sc,
                      std::string *err,
                      std::size_t *skippedGroups = nullptr);
 
-/** The `[report] mode = events` table: one row per grid point, Table-1
- *  event classes normalized per 10^6 retired instructions.
- *  GitHub-flavoured markdown when @p markdown. */
-void writeEventsTable(std::ostream &os, const Scenario &sc,
-                      const harness::MetricFrame &frame, bool markdown);
+/** The per-point results table, one row per grid point, in the
+ *  `[report] mode`: runtimes plus the [report]-requested speedup
+ *  columns (`table`), or the Table-1 event classes per 10^6 retired
+ *  instructions (`events`). GitHub-flavoured markdown when
+ *  @p markdown. */
+void writeTable(std::ostream &os, const Scenario &sc,
+                const harness::MetricFrame &frame, bool markdown);
+
+/** The paper figure declared by the [report] `column` lines, printed
+ *  after writeTable (nothing when there are none): a table with one
+ *  row per distinct projection of the per-row columns, then one
+ *  `label: value` line per sweep-wide column. Returns false (and sets
+ *  @p err to a "path:line: message" diagnostic) on a column that does
+ *  not evaluate. Only `mispsim`'s stdout renders it; the asserts and
+ *  the JSON emitters never evaluate columns. */
+bool writeFigure(std::ostream &os, const Scenario &sc,
+                 const harness::MetricFrame &frame, bool markdown,
+                 std::string *err);
 
 } // namespace misp::driver
 

@@ -702,138 +702,6 @@ writeMetricsJson(std::ostream &os, const Scenario &sc, bool quickMode,
 }
 
 void
-writeTable(std::ostream &os, const Scenario &sc,
-           const harness::MetricFrame &frame, bool markdown)
-{
-    if (frame.numRows() == 0) {
-        os << "(no points)\n";
-        return;
-    }
-
-    // Column set: machine, workload, swept coords, Mcycles, then the
-    // [report]-requested speedups.
-    std::vector<std::string> coordKeys;
-    for (const auto &[key, value] : frame.row(0).coords) {
-        (void)value;
-        if (key != "workload.name") // already the workload column
-            coordKeys.push_back(key);
-    }
-    const bool vsMachine = !sc.report.baselineMachine.empty();
-    const bool vsAxis = !sc.report.baselineAxis.empty();
-    bool anyInvalid = false;
-    bool anyFailed = false;
-    for (std::size_t i = 0; i < frame.numRows(); ++i) {
-        anyInvalid = anyInvalid || frame.at(i, "valid") == 0.0;
-        anyFailed = anyFailed || frame.at(i, "failed") != 0.0;
-    }
-
-    std::vector<std::string> header = {"machine", "workload"};
-    for (const std::string &k : coordKeys)
-        header.push_back(k);
-    header.push_back("Mcycles");
-    if (vsMachine)
-        header.push_back("speedup_vs_" + sc.report.baselineMachine);
-    if (vsAxis)
-        header.push_back("vs_" + sc.report.baselineAxis + "0");
-    if (anyInvalid)
-        header.push_back("valid");
-    if (anyFailed)
-        header.push_back("status");
-
-    using Frame = harness::MetricFrame;
-    // One row's cells at a time — the table streams in two passes
-    // (width scan, then emission) instead of materializing the sweep.
-    auto formatRow = [&](std::size_t i) {
-        const Frame::Row &r = frame.row(i);
-        std::vector<std::string> row = {r.machine, r.workload};
-        for (const std::string &k : coordKeys) {
-            std::string v;
-            for (const auto &[ck, cv] : r.coords) {
-                if (ck == k)
-                    v = cv;
-            }
-            row.push_back(v);
-        }
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.3f", frame.at(i, "mcycles"));
-        row.push_back(buf);
-        if (vsMachine) {
-            // The frame's derived speedup column is already relative
-            // to the [report] baseline machine of this row's group.
-            std::size_t base = frame.rowInGroup(
-                r.group, sc.report.baselineMachine);
-            if (base != Frame::npos && frame.at(i, "ticks") != 0.0)
-                std::snprintf(buf, sizeof(buf), "%.3f",
-                              frame.at(i, "speedup"));
-            else
-                std::snprintf(buf, sizeof(buf), "-");
-            row.push_back(buf);
-        }
-        if (vsAxis) {
-            std::size_t base =
-                frame.axisBaselineRow(i, sc.report.baselineAxis);
-            if (base != Frame::npos && frame.at(i, "ticks") != 0.0)
-                std::snprintf(buf, sizeof(buf), "%.3f",
-                              frame.speedupOf(i, base));
-            else
-                std::snprintf(buf, sizeof(buf), "-");
-            row.push_back(buf);
-        }
-        if (anyInvalid)
-            row.push_back(frame.at(i, "valid") != 0.0 ? "yes" : "NO");
-        if (anyFailed)
-            row.push_back(harness::runStatusName(r.status));
-        return row;
-    };
-
-    // Markdown needs no alignment, so the width pass only runs for
-    // the plain-text renderer.
-    std::vector<std::size_t> widths(header.size());
-    for (std::size_t c = 0; c < header.size(); ++c)
-        widths[c] = header[c].size();
-    if (!markdown) {
-        for (std::size_t i = 0; i < frame.numRows(); ++i) {
-            const std::vector<std::string> row = formatRow(i);
-            for (std::size_t c = 0; c < row.size(); ++c)
-                widths[c] = std::max(widths[c], row[c].size());
-        }
-    }
-
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        if (markdown) {
-            os << "|";
-            for (std::size_t c = 0; c < row.size(); ++c)
-                os << " " << row[c] << " |";
-            os << "\n";
-        } else {
-            for (std::size_t c = 0; c < row.size(); ++c) {
-                os << (c ? "  " : "");
-                os << row[c]
-                   << std::string(widths[c] - row[c].size(), ' ');
-            }
-            os << "\n";
-        }
-    };
-
-    if (!sc.title.empty())
-        os << (markdown ? "### " : "") << sc.title << "\n\n";
-    emitRow(header);
-    if (markdown) {
-        os << "|";
-        for (std::size_t c = 0; c < header.size(); ++c)
-            os << " --- |";
-        os << "\n";
-    } else {
-        std::size_t total = 0;
-        for (std::size_t c = 0; c < widths.size(); ++c)
-            total += widths[c] + (c ? 2 : 0);
-        os << std::string(total, '-') << "\n";
-    }
-    for (std::size_t i = 0; i < frame.numRows(); ++i)
-        emitRow(formatRow(i));
-}
-
-void
 writePoints(std::ostream &os, const harness::MetricFrame &frame)
 {
     for (std::size_t i = 0; i < frame.numRows(); ++i) {

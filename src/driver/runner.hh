@@ -1,10 +1,10 @@
 /**
  * @file
  * ScenarioRunner: executes an expanded scenario grid on the unified
- * run layer (harness::runOne), plus the result emitters every consumer
- * shares — JSON (machine-readable, CI artifacts), text and markdown
- * tables (humans, $GITHUB_STEP_SUMMARY), and canonical point lines
- * (the equivalence diff between `mispsim` and the wrapper benches).
+ * run layer (harness::runOne), plus the machine-readable result
+ * emitters — JSON (CI artifacts, goldens) and canonical point lines
+ * (the diff format of the engine, --jobs and --isolate equivalence
+ * checks). The tables people read are rendered by driver/report.hh.
  *
  * One grid point is exactly one harness::RunRequest: build the
  * workload, instantiate the machine + runtime backend, load the target
@@ -182,7 +182,7 @@ class ScenarioRunner
 /**
  * Build the sweep's MetricFrame — the single translation from grid
  * results to the queryable metrics store every consumer (asserts,
- * emitters, wrapper benches) reads. Rows are added in grid order and
+ * columns, emitters) reads. Rows are added in grid order and
  * the `speedup` column uses the scenario's [report] baseline_machine.
  */
 harness::MetricFrame
@@ -195,13 +195,8 @@ buildMetricFrame(const Scenario &sc,
 void writeJson(std::ostream &os, const Scenario &sc, bool quickMode,
                const harness::MetricFrame &frame);
 
-/** Human results table; GitHub-flavoured markdown when @p markdown.
- *  Adds the [report]-requested speedup columns. */
-void writeTable(std::ostream &os, const Scenario &sc,
-                const harness::MetricFrame &frame, bool markdown);
-
 /** Canonical `machine=... workload=... competitors=... ticks=...
- *  valid=...` lines — the equivalence-diff format. */
+ *  valid=...` lines — the equivalence-diff format (`--points`). */
 void writePoints(std::ostream &os, const harness::MetricFrame &frame);
 
 /** The `mispsim --metrics FILE` artifact: scenario header + the full
@@ -220,10 +215,11 @@ std::string findScenarioFile(const std::string &nameOrPath,
                              const char *argv0);
 
 /**
- * The figure-wrapper entry point: locate @p nameOrPath (per
- * findScenarioFile), parse + validate + expand the grid (applying
- * [quick] overrides when @p quick), and run every point. On failure,
- * prints a "@p tool: ..." diagnostic to stderr and returns false.
+ * Run a scenario by name, for a bench that measures one: locate
+ * @p nameOrPath (per findScenarioFile), parse + validate + expand the
+ * grid (applying [quick] overrides when @p quick), and run every
+ * point. On failure, prints a "@p tool: ..." diagnostic to stderr and
+ * returns false.
  */
 bool runScenarioByName(const std::string &nameOrPath, const char *argv0,
                        bool quick, const RunnerOptions &opts,

@@ -452,6 +452,24 @@ Scenario::fromSpec(const SpecFile &spec, Scenario *out, std::string *err)
                     }
                 } else if (e.key == "assert") {
                     out->report.asserts.push_back({e.value, e.line});
+                } else if (e.key == "column") {
+                    // The label ends at the first ':' (selectors such
+                    // as `suite:rms` may follow in the expression).
+                    const std::string_view value = e.value;
+                    const std::size_t colon = value.find(':');
+                    ReportColumn col{trim(value.substr(0, colon)), "",
+                                     e.line};
+                    if (colon != std::string_view::npos)
+                        col.expr = trim(value.substr(colon + 1));
+                    if (col.label.empty() || col.expr.empty()) {
+                        if (err)
+                            *err = specError(spec.path, e.line,
+                                             "column: expected "
+                                             "'<label> : <expression>', "
+                                             "got '" + e.value + "'");
+                        return false;
+                    }
+                    out->report.columns.push_back(std::move(col));
                 } else {
                     if (err)
                         *err = specError(spec.path, e.line,
@@ -551,6 +569,7 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
     std::size_t total = 1;
     for (const SweepAxis &a : axes)
         total *= a.values.size();
+    out->reserve(total * machines.size());
 
     for (std::size_t idx = 0; idx < total; ++idx) {
         // Odometer decode: first axis varies slowest.

@@ -21,9 +21,11 @@
  *   [quick]               axis/knob overrides applied in --quick mode
  *   [report]              baseline_machine, baseline_axis,
  *                         mode = table|events (events renders Table-1
- *                         counts per 10^6 retired instructions), and
+ *                         counts per 10^6 retired instructions),
  *                         repeatable `assert = <expr>` paper-claim
- *                         guards (grammar: driver/report.hh)
+ *                         guards, and repeatable
+ *                         `column = <label> : <expr>` figure columns
+ *                         (grammar: driver/report.hh)
  *   [snapshot]            warmup_ticks: per-point warmup depth for
  *                         `mispsim --save-snapshot` (snapshot/)
  *   [faults]              deterministic fault injection for --isolate
@@ -146,6 +148,15 @@ struct ReportAssert {
     int line = 0; ///< spec line, for failure diagnostics
 };
 
+/** One `column = <label> : <expr>` figure column from a [report]
+ *  section: rendered by `mispsim` after the per-point table, never
+ *  evaluated by the assert path or the JSON emitters. */
+struct ReportColumn {
+    std::string label;
+    std::string expr;
+    int line = 0; ///< spec line, for evaluation diagnostics
+};
+
 /** What reporting does with grid points that failed for infrastructure
  *  reasons (worker crash/timeout, snapshot error) — the
  *  `[report] on_failed_points` policy. */
@@ -168,7 +179,7 @@ enum class FailedPointPolicy {
 bool parseFailedPointPolicy(const std::string &name,
                             FailedPointPolicy *out);
 
-/** Derived-column requests for tables and wrapper figures. */
+/** Derived-column requests for the rendered tables and the figure. */
 struct ReportSpec {
     /** Speedup column: ticks on this machine / ticks, per coordinate. */
     std::string baselineMachine;
@@ -182,6 +193,8 @@ struct ReportSpec {
     FailedPointPolicy onFailedPoints = FailedPointPolicy::Fail;
     /** Paper-claim guards; see driver/report.hh for the grammar. */
     std::vector<ReportAssert> asserts;
+    /** The paper figure's columns, in spec order (same grammar). */
+    std::vector<ReportColumn> columns;
 };
 
 /** A fully-resolved grid point, ready to run. */

@@ -1,7 +1,9 @@
 #include "spec.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "sim/parse.hh"
 
@@ -9,26 +11,23 @@ namespace misp::driver {
 
 namespace {
 
-std::string
-trim(const std::string &s)
+/** @p s without leading and trailing blanks, as a view into @p s. */
+std::string_view
+trimView(std::string_view s)
 {
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/** Strip `#` / `;` comments. Values never contain either character
- *  (documented in spec.hh), so no quoting rules are needed. */
-std::string
-stripComment(const std::string &line)
-{
-    std::size_t pos = line.find_first_of("#;");
-    return pos == std::string::npos ? line : line.substr(0, pos);
+    const std::size_t b = s.find_first_not_of(" \t\r");
+    if (b == std::string_view::npos)
+        return {};
+    return s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
 }
 
 } // namespace
+
+std::string
+trim(std::string_view s)
+{
+    return std::string(trimView(s));
+}
 
 std::string
 specError(const std::string &path, int line, const std::string &message)
@@ -100,12 +99,22 @@ SpecFile::parse(const std::string &text, const std::string &path,
     out->path = path;
     out->sections.clear();
 
-    std::istringstream is(text);
-    std::string raw;
+    // Lines are views into @p text: only section names, keys and
+    // values are copied out. `#` and `;` start a comment; values never
+    // contain either character (documented in spec.hh), so no quoting
+    // rules are needed.
+    std::string_view rest(text);
     int lineNo = 0;
-    while (std::getline(is, raw)) {
+    while (!rest.empty()) {
+        const std::size_t nl = rest.find('\n');
+        const std::string_view raw = rest.substr(0, nl);
+        rest.remove_prefix(nl == std::string_view::npos ? rest.size()
+                                                         : nl + 1);
         ++lineNo;
-        std::string line = trim(stripComment(raw));
+        // Two find()s (memchr) instead of one find_first_of("#;"),
+        // which tests every character against the set one by one.
+        const std::string_view line =
+            trimView(raw.substr(0, std::min(raw.find('#'), raw.find(';'))));
         if (line.empty())
             continue;
 
@@ -116,7 +125,8 @@ SpecFile::parse(const std::string &text, const std::string &path,
                                      "section header missing ']'");
                 return false;
             }
-            std::string inner = trim(line.substr(1, line.size() - 2));
+            const std::string_view inner =
+                trimView(line.substr(1, line.size() - 2));
             if (inner.empty()) {
                 if (err)
                     *err = specError(path, lineNo, "empty section header");
@@ -124,23 +134,20 @@ SpecFile::parse(const std::string &text, const std::string &path,
             }
             SpecSection sec;
             sec.line = lineNo;
-            std::size_t sp = inner.find_first_of(" \t");
-            if (sp == std::string::npos) {
-                sec.type = inner;
-            } else {
-                sec.type = inner.substr(0, sp);
-                sec.name = trim(inner.substr(sp + 1));
-            }
+            const std::size_t sp = inner.find_first_of(" \t");
+            sec.type = inner.substr(0, sp);
+            if (sp != std::string_view::npos)
+                sec.name = trimView(inner.substr(sp + 1));
             out->sections.push_back(std::move(sec));
             continue;
         }
 
-        std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
+        const std::size_t eq = line.find('=');
+        if (eq == std::string_view::npos) {
             if (err)
                 *err = specError(path, lineNo,
                                  "expected 'key = value' or '[section]', "
-                                 "got '" + line + "'");
+                                 "got '" + std::string(line) + "'");
             return false;
         }
         if (out->sections.empty()) {
@@ -150,8 +157,8 @@ SpecFile::parse(const std::string &text, const std::string &path,
             return false;
         }
         SpecEntry entry;
-        entry.key = trim(line.substr(0, eq));
-        entry.value = trim(line.substr(eq + 1));
+        entry.key = trimView(line.substr(0, eq));
+        entry.value = trimView(line.substr(eq + 1));
         entry.line = lineNo;
         if (entry.key.empty()) {
             if (err)
@@ -160,10 +167,10 @@ SpecFile::parse(const std::string &text, const std::string &path,
         }
         SpecSection &sec = out->sections.back();
         // Keys name one axis or knob each, so duplicates are rejected —
-        // except `assert` and `inject`, which are repeatable
+        // except `assert`, `column` and `inject`, which are repeatable
         // statements, not knobs.
-        if (entry.key != "assert" && entry.key != "inject" &&
-            sec.find(entry.key)) {
+        if (entry.key != "assert" && entry.key != "column" &&
+            entry.key != "inject" && sec.find(entry.key)) {
             if (err)
                 *err = specError(path, lineNo,
                                  "duplicate key '" + entry.key +

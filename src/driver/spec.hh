@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace misp::driver {
@@ -83,6 +84,9 @@ struct SpecFile {
 /** Format a "path:line: message" diagnostic. */
 std::string specError(const std::string &path, int line,
                       const std::string &message);
+
+/** @p s without leading and trailing blanks. */
+std::string trim(std::string_view s);
 
 /** Split a comma-separated value into trimmed, non-empty tokens. */
 std::vector<std::string> splitList(const std::string &value);

@@ -597,28 +597,6 @@ MetricFrame::findRow(const std::string &machine,
     return npos;
 }
 
-std::vector<std::string>
-MetricFrame::workloads() const
-{
-    std::vector<std::string> names;
-    if (indexed()) {
-        std::unordered_set<Id> seen;
-        for (std::size_t r = 0; r < rows_.size(); ++r) {
-            if (seen.insert(rowKeys_[r].workload).second)
-                names.push_back(rows_[r].workload);
-        }
-        return names;
-    }
-    for (const Row &r : rows_) {
-        bool seen = false;
-        for (const std::string &n : names)
-            seen = seen || n == r.workload;
-        if (!seen)
-            names.push_back(r.workload);
-    }
-    return names;
-}
-
 const std::vector<std::string> *
 MetricFrame::axisValues(const std::string &key) const
 {

@@ -15,9 +15,9 @@
  * byte-identical across reruns and `--jobs N` fan-out.
  *
  * Everything downstream of harness::runOne reads results through a
- * frame: the `[report]` assert evaluator (including its aggregate and
- * cross-axis references), the JSON/table/points emitters, the events
- * table, and the figure wrappers' presentation code. A new metric is
+ * frame: the `[report]` expression evaluator behind the asserts and
+ * the figure columns (including its aggregate and cross-axis
+ * references), and the JSON/table/points emitters. A new metric is
  * added here once and becomes visible to all of them at the same time;
  * hand-rolled walks over result vectors are the bug this layer
  * removes.
@@ -30,8 +30,8 @@
  * Scale: axis keys/values and machine/workload names are interned into
  * integer ids on addRow, and finalize() builds hashed coord-tuple
  * indexes over them, so every lookup (cross-axis selectors, group and
- * baseline resolution, the wrapper benches' findRow) costs O(1) id
- * hashing instead of an O(rows) string-compare walk. Row iteration and
+ * baseline resolution, findRow) costs O(1) id hashing instead of an
+ * O(rows) string-compare walk. Row iteration and
  * group numbering stay in grid order, so the indexes change no emitted
  * byte. The pre-index linear walks survive behind Lookup::Linear for
  * the frame-scale ablation and differential tests.
@@ -166,19 +166,16 @@ class MetricFrame
                                 const std::string &axis) const;
 
     /** First row at (machine, workload, competitors); npos if absent
-     *  — the wrapper benches' simple-grid lookup. */
+     *  — the simple-grid lookup. */
     std::size_t findRow(const std::string &machine,
                         const std::string &workload,
                         unsigned competitors) const;
 
     /** First row on @p machine whose coordinates contain every
-     *  (key, value) pair of @p coords; npos if absent — the wrapper
-     *  benches' multi-axis lookup. */
+     *  (key, value) pair of @p coords; npos if absent — the
+     *  multi-axis lookup. */
     std::size_t findRow(const std::string &machine,
                         const std::vector<Coord> &coords) const;
-
-    /** The distinct `workload` values, in first-seen row order. */
-    std::vector<std::string> workloads() const;
 
     /** Distinct values of sweep axis @p key, in first-seen row order
      *  (the selector normalizer's input). nullptr when no row carries

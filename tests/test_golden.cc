@@ -12,7 +12,7 @@
  *
  * The run below is the one mispsim performs: parse + expand the spec
  * in quick mode, run the grid, build the MetricFrame, and render it
- * with writeMetricsJson and the scenario's table renderer.
+ * with writeMetricsJson, writeTable and writeFigure.
  */
 
 #include <gtest/gtest.h>
@@ -69,7 +69,8 @@ loadScenario(const fs::path &scn)
     return sc;
 }
 
-/** What one `mispsim <scn> --quick` run writes, rendered in memory. */
+/** What one `mispsim <scn> --quick` run writes, rendered in memory:
+ *  the table and the figure on stdout, and the --metrics file. */
 struct QuickArtifacts {
     std::string metrics; ///< the --metrics file
     std::string table;   ///< stdout
@@ -91,10 +92,9 @@ quickArtifacts(const Scenario &sc)
     writeMetricsJson(metrics, sc, /*quickMode=*/true, frame);
     out.metrics = metrics.str();
     std::ostringstream table;
-    if (sc.report.mode == ReportMode::Events)
-        writeEventsTable(table, sc, frame, /*markdown=*/false);
-    else
-        writeTable(table, sc, frame, /*markdown=*/false);
+    writeTable(table, sc, frame, /*markdown=*/false);
+    EXPECT_TRUE(writeFigure(table, sc, frame, /*markdown=*/false, &err))
+        << err;
     out.table = table.str();
     return out;
 }

@@ -242,9 +242,6 @@ TEST(MetricFrame, LookupQueries)
     EXPECT_EQ(frame.findRow("b", {{"workload.param.dim", "96"}}), 3u);
     EXPECT_EQ(frame.findRow("b", {{"workload.param.dim", "128"}}), MetricFrame::npos);
 
-    EXPECT_EQ(frame.workloads(),
-              (std::vector<std::string>{"dense_mvm"}));
-
     // Cross-axis: from group 0, the b row with workload.param.dim forced to 96.
     EXPECT_EQ(frame.rowWithOverrides(0, "b", {{"workload.param.dim", "96"}}), 3u);
     EXPECT_EQ(frame.rowWithOverrides(1, "b", {{"workload.param.dim", "64"}}), 1u);

@@ -4,8 +4,9 @@
  * equivalence with the hand-rolled experiment loops the ported benches
  * (table1_events, fig5_signal_cost, ablation_serialization,
  * ablation_pageprobe) used before the scenario specs existed, `--jobs`
- * byte-identity with serial runs, [report] assert evaluation and the
- * events-mode emitter, and the `param.<key>` per-workload knobs.
+ * byte-identity with serial runs, [report] assert evaluation, the
+ * events-mode emitter and the figure columns, and the `param.<key>`
+ * per-workload knobs.
  */
 
 #include <gtest/gtest.h>
@@ -525,14 +526,14 @@ TEST(EventsReport, NormalizesPerMegaInstructions)
     const harness::MetricFrame frame = buildMetricFrame(sc, results);
     // 10 OMS faults / 2 MInsts = 5.000; 40 AMS faults -> 20.000.
     std::ostringstream os;
-    writeEventsTable(os, sc, frame, /*markdown=*/false);
+    writeTable(os, sc, frame, /*markdown=*/false);
     EXPECT_NE(os.str().find("per 10^6 retired instructions"),
               std::string::npos);
     EXPECT_NE(os.str().find("5.000"), std::string::npos);
     EXPECT_NE(os.str().find("20.000"), std::string::npos);
 
     std::ostringstream md;
-    writeEventsTable(md, sc, frame, /*markdown=*/true);
+    writeTable(md, sc, frame, /*markdown=*/true);
     EXPECT_NE(md.str().find("| machine |"), std::string::npos);
     EXPECT_NE(md.str().find("| --- |"), std::string::npos);
 
@@ -540,6 +541,180 @@ TEST(EventsReport, NormalizesPerMegaInstructions)
     Scenario plain = mustScenario(
         "[machine m]\nams = 7\n[workload]\nname = dense_mvm\n");
     EXPECT_EQ(plain.report.mode, ReportMode::Table);
+}
+
+// ---------------------------------------------------------------------
+// [report] column = <label> : <expr> (the figure)
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Two machines over three workloads from two suites: b is 2x, 4x and
+ *  5x faster than a on dense_mvm, gauss and swim. */
+const char *const kFigureSpec =
+    "[machine a]\nams = 1\n[machine b]\nams = 3\n"
+    "[workload]\nname = dense_mvm\n"
+    "[sweep]\nworkload.name = dense_mvm, gauss, swim\n";
+
+std::vector<PointResult>
+figurePoints()
+{
+    std::vector<PointResult> results;
+    const std::pair<const char *, Tick> bTicks[] = {
+        {"dense_mvm", 200}, {"gauss", 100}, {"swim", 80}};
+    for (const auto &[name, ticks] : bTicks) {
+        results.push_back(fakePoint("a", name, 400, 1'000'000,
+                                    {{"workload.name", name}}));
+        results.push_back(fakePoint("b", name, ticks, 1'000'000,
+                                    {{"workload.name", name}}));
+    }
+    return results;
+}
+
+/** writeFigure's output for @p columns (spec `[report]` lines) over
+ *  figurePoints(); "ERR " + the diagnostic when it fails. */
+std::string
+renderFigure(const std::string &columns, bool markdown = false)
+{
+    const Scenario sc =
+        mustScenario(std::string(kFigureSpec) + "[report]\n" + columns);
+    std::ostringstream os;
+    std::string err;
+    if (!writeFigure(os, sc, buildMetricFrame(sc, figurePoints()),
+                     markdown, &err))
+        return "ERR " + err;
+    return os.str();
+}
+
+} // namespace
+
+TEST(ReportColumns, RowPerProjectionAndSummaryLines)
+{
+    EXPECT_EQ(renderFigure("column = speedup : a.ticks / b.ticks\n"
+                           "column = b Mcycles : b.mcycles\n"
+                           "column = mean : avg ( a.ticks / b.ticks )\n"),
+              "\n"
+              "workload.name  speedup  b Mcycles\n"
+              "---------------------------------\n"
+              "dense_mvm      2        0.000    \n"
+              "gauss          4        0.000    \n"
+              "swim           5        0.000    \n"
+              "\n"
+              "mean: 3.667\n");
+    EXPECT_EQ(renderFigure("column = mean : avg ( a.ticks / b.ticks )\n",
+                           /*markdown=*/true),
+              "\n- mean: 3.667\n");
+    EXPECT_EQ(renderFigure("column = x : b.ticks\n", /*markdown=*/true),
+              "\n| workload.name | x |\n| --- | --- |\n"
+              "| dense_mvm | 200 |\n| gauss | 100 |\n| swim | 80 |\n");
+    // No columns, no figure.
+    EXPECT_EQ(renderFigure(""), "");
+}
+
+TEST(ReportColumns, AggregateSelectorPicksOneSuite)
+{
+    // dense_mvm and gauss are RMS kernels, swim is SPEComp.
+    EXPECT_EQ(renderFigure(
+                  "column = rms : avg[workload.name=suite:rms] ( a.ticks "
+                  "/ b.ticks )\n"
+                  "column = specomp : "
+                  "avg[workload.name=suite:specomp](a.ticks / b.ticks)\n"
+                  "column = one : sum[workload.name=gauss] ( b.ticks )\n"
+                  "column = all : count[workload.name=all] ( 1 )\n"),
+              "\nrms: 3\nspecomp: 5\none: 100\nall: 3\n");
+
+    // The same selector works in an assert.
+    Scenario sc = mustScenario(
+        std::string(kFigureSpec) +
+        "[report]\nassert = avg[workload.name=suite:rms] ( a.ticks / "
+        "b.ticks ) == 3\n"
+        "assert = min[workload.name=suite:specomp] ( a.ticks / b.ticks ) "
+        "> 4\n");
+    std::vector<AssertFailure> failures;
+    std::string err;
+    ASSERT_TRUE(evalAsserts(sc, figurePoints(), &failures, &err)) << err;
+    EXPECT_TRUE(failures.empty()) << failures[0].detail;
+
+    // Malformed or empty selections are diagnosed, with the spec line.
+    const std::pair<const char *, const char *> bad[] = {
+        {"avg[machine.ams=1] ( b.ticks )", "expected the selector"},
+        {"avg[workload.name=] ( b.ticks )", "expected the selector"},
+        {"avg[workload.name=suite:bogus] ( b.ticks )",
+         "unknown workload suite 'bogus'"},
+        {"avg[workload.name=art] ( b.ticks )",
+         "no results to aggregate over"},
+    };
+    for (const auto &[expr, why] : bad) {
+        const std::string out =
+            renderFigure(std::string("column = c : ") + expr + "\n");
+        EXPECT_EQ(out.rfind("ERR <test>:10: column 'c': ", 0), 0u) << out;
+        EXPECT_NE(out.find(why), std::string::npos) << out;
+    }
+}
+
+TEST(ReportColumns, ColumnsStayOutOfTheAssertPath)
+{
+    // A column that cannot evaluate fails the figure, not the asserts.
+    const std::string columns = "column = broken : nosuch.ticks\n";
+    EXPECT_NE(renderFigure(columns).find("names no [machine] section"),
+              std::string::npos);
+    Scenario sc = mustScenario(std::string(kFigureSpec) + "[report]\n" +
+                               columns + "assert = b.ticks > 0\n");
+    std::vector<AssertFailure> failures;
+    std::string err;
+    EXPECT_TRUE(evalAsserts(sc, figurePoints(), &failures, &err)) << err;
+    EXPECT_TRUE(failures.empty());
+}
+
+TEST(ReportColumns, FailedPointsRenderAsDash)
+{
+    Scenario sc = mustScenario(std::string(kFigureSpec) +
+                               "[report]\ncolumn = s : a.ticks / b.ticks\n"
+                               "column = n : count ( 1 )\n");
+    std::vector<PointResult> results = figurePoints();
+    results[3].run.status = harness::RunStatus::WorkerCrashed; // gauss b
+    results[3].run.ticks = 0;
+    std::ostringstream os;
+    std::string err;
+    ASSERT_TRUE(writeFigure(os, sc, buildMetricFrame(sc, results),
+                            /*markdown=*/false, &err))
+        << err;
+    EXPECT_EQ(os.str(), "\n"
+                        "workload.name  s\n"
+                        "----------------\n"
+                        "dense_mvm      2\n"
+                        "gauss          -\n"
+                        "swim           5\n"
+                        "\n"
+                        "n: 2\n");
+}
+
+TEST(ReportColumns, SpecSyntax)
+{
+    Scenario sc = mustScenario(
+        std::string(kFigureSpec) +
+        "[report]\ncolumn = a : b : avg[workload.name=suite:rms] ( 1 )\n"
+        "column = second : 2\n");
+    ASSERT_EQ(sc.report.columns.size(), 2u);
+    EXPECT_EQ(sc.report.columns[0].label, "a");
+    EXPECT_EQ(sc.report.columns[0].expr,
+              "b : avg[workload.name=suite:rms] ( 1 )");
+    EXPECT_EQ(sc.report.columns[1].line, 11);
+
+    for (const char *line : {"column = no label\n", "column = : 1\n",
+                             "column = label :\n"}) {
+        SpecFile spec;
+        Scenario bad;
+        std::string err;
+        ASSERT_TRUE(SpecFile::parse(std::string(kFigureSpec) +
+                                        "[report]\n" + line,
+                                    "<test>", &spec, &err))
+            << err;
+        EXPECT_FALSE(Scenario::fromSpec(spec, &bad, &err)) << line;
+        EXPECT_NE(err.find("<test>:10: column: expected"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <sstream>
 
+#include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/scenario.hh"
 #include "driver/spec.hh"
@@ -76,6 +77,16 @@ TEST(SpecParse, SectionsEntriesAndComments)
     EXPECT_EQ(spec.sections[1].get("processors"), "3,0,0,0,0");
     EXPECT_EQ(spec.sections[1].find("processors")->line, 6);
     EXPECT_FALSE(spec.sections[1].has("missing"));
+
+    // Either comment character ends the line, whichever comes first;
+    // CRLF endings and a last line without a newline parse alike.
+    spec = mustParse("[workload]\r\nname = gauss # a ; b\r\n"
+                     "workers = 7 ; a # b\r\n\r\nscale = 2");
+    ASSERT_EQ(spec.sections.size(), 1u);
+    EXPECT_EQ(spec.sections[0].get("name"), "gauss");
+    EXPECT_EQ(spec.sections[0].get("workers"), "7");
+    EXPECT_EQ(spec.sections[0].get("scale"), "2");
+    EXPECT_EQ(spec.sections[0].find("scale")->line, 5);
 }
 
 TEST(SpecParse, RoundTrip)

@@ -105,10 +105,11 @@ failureText(harness::RunStatus status)
 
 /**
  * The shared end of every run — serial, --shard, and --merge-frames:
- * render the frame, write -o and @p metricsPath, report failed points,
- * evaluate the [report] asserts (a shard defers them to the merge),
- * and pick the exit code. @p results carries the per-point failure
- * notes; a merged frame has none.
+ * render the frame and its figure, write -o and @p metricsPath, report
+ * failed points, evaluate the [report] asserts (a shard defers the
+ * figure and the asserts to the merge), and pick the exit code.
+ * @p results carries the per-point failure notes; a merged frame has
+ * none.
  */
 int
 finishRun(const CliOptions &cli, const Scenario &sc, bool quick,
@@ -116,12 +117,20 @@ finishRun(const CliOptions &cli, const Scenario &sc, bool quick,
           const std::vector<PointResult> *results, const ShardRun *shard,
           const std::string &metricsPath)
 {
-    if (cli.pointsOnly)
+    int rc = 0;
+    if (cli.pointsOnly) {
         writePoints(std::cout, frame);
-    else if (sc.report.mode == ReportMode::Events)
-        writeEventsTable(std::cout, sc, frame, cli.markdown);
-    else
+    } else {
         writeTable(std::cout, sc, frame, cli.markdown);
+        // A shard's slice would leave cross-combination columns
+        // dangling; like the asserts, the figure waits for the merge.
+        std::string err;
+        if (!shard &&
+            !writeFigure(std::cout, sc, frame, cli.markdown, &err)) {
+            std::fprintf(stderr, "mispsim: %s\n", err.c_str());
+            rc = 1;
+        }
+    }
 
     if (!cli.jsonPath.empty() &&
         !writeOutput(cli.jsonPath, [&](std::ostream &os) {
@@ -139,7 +148,6 @@ finishRun(const CliOptions &cli, const Scenario &sc, bool quick,
         }))
         return 1;
 
-    int rc = 0;
     std::size_t failedPoints = 0;
     const bool degradeGracefully =
         sc.report.onFailedPoints == FailedPointPolicy::Skip;
