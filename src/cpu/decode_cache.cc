@@ -29,10 +29,8 @@ buildSuperblockAt(DecodedPage &page, std::uint16_t slot)
         const DecodedSlot &s = page.slots[cur];
         OpClass cls = s.valid ? s.cls : OpClass::Invalid;
         if (cls == OpClass::Branch || cls == OpClass::Slow ||
-            cls == OpClass::Invalid) {
-            sb.termKind = cls;
+            cls == OpClass::Invalid)
             break;
-        }
         ++cur;
     }
     sb.term = cur; // == kSlots when the block ran off the page edge
@@ -79,6 +77,7 @@ DecodeCache::decodePage(std::uint64_t vpn, PAddr paBase)
         s.valid = isa::decode(&bytes[i * isa::kInstBytes], &s.inst);
         s.lat = s.valid ? isa::baseLatency(s.inst.op) : 0;
         s.cls = s.valid ? isa::opClass(s.inst.op) : OpClass::Invalid;
+        s.handler = s.valid ? isa::handlerOf(s.inst) : isa::Handler::Generic;
     }
     // Superblock metadata indexes the slots just overwritten; outbound
     // chain links die with it, inbound ones die on the version bump.

@@ -56,6 +56,8 @@ struct DecodedSlot {
     Cycles lat = 0;     ///< precomputed isa::baseLatency(inst.op)
     bool valid = false; ///< decode succeeded (else: InvalidOpcode fault)
     OpClass cls = OpClass::Invalid; ///< precomputed isa::opClass(inst.op)
+    /** Precomputed isa::handlerOf(inst); Generic when decode failed. */
+    isa::Handler handler = isa::Handler::Generic;
 };
 
 struct PageSuperblocks;
@@ -70,7 +72,7 @@ struct DecodedPage {
     std::uint64_t version = 0; ///< bumped by every invalidation/redecode
     bool decoded = false;      ///< false between invalidation and redecode
     std::array<DecodedSlot, kSlots> slots{};
-    /** Superblock metadata, built lazily on the first block dispatch
+    /** Superblock metadata, built lazily on the first chained block exit
      *  and dropped whenever the page is redecoded (the slots it indexes
      *  changed). */
     std::unique_ptr<PageSuperblocks> sbs;
@@ -86,7 +88,6 @@ struct DecodedPage {
  *  or the page was remapped to a different frame (paBase). */
 struct SbLink {
     DecodedPage *page = nullptr; ///< nullptr = unresolved
-    std::uint32_t sb = 0;        ///< index into page->sbs->blocks
     std::uint64_t version = 0;   ///< page->version at resolve time
     std::uint64_t asGen = 0;     ///< Mmu::addressSpaceGen() at resolve
     PAddr paBase = 0;            ///< frame the target decoded from
@@ -95,11 +96,12 @@ struct SbLink {
 /** A basic-block superblock: a run of decoded slots
  *  [start, term) of Inline/Mem class, ended by a terminator at `term`
  *  (Branch, Slow, or Invalid class — or the page edge when
- *  term == DecodedPage::kSlots). */
+ *  term == DecodedPage::kSlots). The engine runs the slots straight
+ *  off the page and keeps per block only the links of its chainable
+ *  exits, so a block is built the first time one is taken. */
 struct Superblock {
     std::uint16_t start = 0;
     std::uint16_t term = 0; ///< terminator slot; kSlots = page edge
-    OpClass termKind = OpClass::Invalid; ///< class at `term` (unless edge)
     SbLink taken; ///< successor of the taken static branch / page edge
     SbLink fall;  ///< successor of the fall-through edge (Jcc untaken)
 };

@@ -767,7 +767,7 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
       default:
         // Inline-class ops: one definition, shared with the superblock
         // engine's fast path.
-        execInline(inst, &cycles);
+        cycles += execInline(inst.op, inst);
         break;
     }
 
@@ -781,15 +781,15 @@ Sequencer::executeDecoded(const isa::Instruction &inst, Cycles cycles,
     return cycles;
 }
 
-void
-Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
+Cycles
+Sequencer::execInline(Opcode op, const isa::Instruction &inst)
 {
     // The one definition of every Inline-class op, for both engines.
     // Case bodies stay written out in this switch (no per-op function
-    // or table) because the superblock fast loop runs it per
-    // instruction.
+    // or table): the superblock fast loop expands it once per handler
+    // id with a constant op, which folds the switch away.
     auto &regs = ctx_.regs;
-    switch (inst.op) {
+    switch (op) {
       case Opcode::Nop:
       case Opcode::Pause:
         break;
@@ -866,8 +866,7 @@ Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
         Cycles burn = inst.imm;
         if (inst.rs1 != 0)
             burn += regs[inst.rs1];
-        *consumed += burn;
-        break;
+        return burn;
       }
       case Opcode::SeqId:
         regs[inst.rd] = sid_;
@@ -881,6 +880,21 @@ Sequencer::execInline(const isa::Instruction &inst, Cycles *consumed)
       default:
         panic("%s: non-inline opcode in inline dispatch", name_.c_str());
     }
+    return 0;
+}
+
+template <unsigned Width, bool Store>
+bool
+Sequencer::replayAccess(const isa::Instruction &inst)
+{
+    const VAddr va = ctx_.regs[inst.rs1] + inst.imm;
+    if ((va & (Width - 1)) != 0 || !mmu_.dataReplayable(va, Store, ring_))
+        return false;
+    if constexpr (Store)
+        mmu_.dataReplayWrite<Width>(va, ctx_.regs[inst.rs2]);
+    else
+        ctx_.regs[inst.rd] = mmu_.dataReplayRead<Width>(va);
+    return true;
 }
 
 void
@@ -898,11 +912,13 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
     // locally and committed in one shot at every slow-path boundary, so
     // externally observable state — the TLB's reference bits included —
     // is exact whenever the environment or an eviction scan could look.
+    // Every lambda below captures loop state by reference and is forced
+    // inline, so none of that state has to live in memory.
     std::uint64_t retired = 0;
     std::uint64_t hits = 0;
     std::uint64_t replays = 0;
     std::uint64_t dataReplays = 0;
-    auto commit = [&] {
+    auto commit = [&]() __attribute__((always_inline)) {
         if (replays != 0) {
             mmu_.commitFetchReplays(replays);
             replays = 0;
@@ -925,12 +941,15 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
                                           isa::kInstBytes);
     };
 
-    // Chained-dispatch state. The current superblock is held by index,
-    // never by pointer: building a successor may grow the block vector.
+    // Chained-dispatch state: the current page and slot, and the slot
+    // the current superblock started at. The block itself is only
+    // looked up (and built on first use) when it is left through a
+    // chainable exit: its links are all the engine keeps per block.
+    // While page != nullptr, cur < kSlots: reaching the page edge always
+    // chains onward first.
     DecodedPage *page = nullptr; // nullptr = resolve before dispatching
-    std::uint32_t sbi = 0;
     std::uint16_t cur = 0;
-    std::uint16_t term = 0;
+    std::uint16_t blockStart = 0;
     // Whether the modeled fetch of the instruction at ctx_.eip has
     // already been charged (true right after a resolve).
     bool fetchPaid = false;
@@ -947,7 +966,10 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
 
     // Leave the current block through its static @p taken (or page-edge)
     // exit: stash the exit's link for the resolve and force one.
-    auto chainExit = [&](bool taken) {
+    auto chainExit = [&](bool taken) __attribute__((always_inline)) {
+        // The block is remembered by index, never by pointer: building
+        // another block of the page grows the block vector.
+        const std::uint32_t sbi = superblockAt(*page, blockStart);
         const Superblock &blk = page->sbs->blocks[sbi];
         hint = taken ? blk.taken : blk.fall;
         linkFrom = page;
@@ -956,31 +978,20 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
         linkTaken = taken;
         page = nullptr;
     };
-    // Execute the Branch-class terminator @p t fetched at @p eip inline
-    // and return the next EIP. A same-page target continues the chain
-    // through the per-page block table (the fetch stays on the batched
-    // replay path); any other target leaves page == nullptr. Forced
-    // inline: both call sites are on the per-instruction path.
-    auto runBranch = [&](const DecodedSlot &t,
-                         VAddr eip) __attribute__((always_inline)) {
-        consumed += t.lat;
-        bool taken = true;
-        VAddr target = t.inst.imm;
-        if (t.inst.op == Opcode::JmpR)
-            target = ctx_.regs[t.inst.rs1];
-        else if (t.inst.op == Opcode::Jcc)
-            taken = condHolds(static_cast<isa::Cond>(t.inst.sub));
+    // Leave the current block's Branch-class terminator, fetched at
+    // @p eip and resolved to @p taken towards @p target, and return the
+    // next EIP. A same-page target starts the next block in place (the
+    // fetch stays on the batched replay path); any other target leaves
+    // page == nullptr. An @p indirect branch's target may differ every
+    // traversal, so it is never linked.
+    auto followBranch = [&](bool taken, VAddr target, bool indirect,
+                            VAddr eip) __attribute__((always_inline)) {
         const VAddr neip = taken ? target : eip + isa::kInstBytes;
-        ++executed;
-        ++retired;
         if (mem::pageNumber(neip) == page->vpn &&
             (neip & (isa::kInstBytes - 1)) == 0) {
             cur = slotOf(neip);
-            sbi = superblockAt(*page, cur);
-            term = page->sbs->blocks[sbi].term;
-        } else if (t.inst.op != Opcode::JmpR) {
-            // Static exit. An indirect branch's target may differ every
-            // traversal, so it is never linked.
+            blockStart = cur;
+        } else if (!indirect) {
             chainExit(taken);
         } else {
             page = nullptr;
@@ -1006,7 +1017,7 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
         }
 
         if (page == nullptr) {
-            // ---- resolve: page + superblock for ctx_.eip ------------
+            // ---- resolve: the decoded page for ctx_.eip -------------
             commit(); // a fetch miss may insert into the TLB
             mem::FetchResult fr =
                 mmu_.fetchTranslate(ctx_.eip, ring_, /*fastPath=*/true);
@@ -1051,15 +1062,13 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
             }
             page = block_.page;
             cur = slotOf(ctx_.eip);
-            sbi = superblockAt(*page, cur);
-            term = page->sbs->blocks[sbi].term;
+            blockStart = cur;
             fetchPaid = true;
             // Resolve the exiting block's link for its next traversal.
             if (linkFrom != nullptr &&
                 linkFrom->version == linkFromVer) {
                 SbLink l;
                 l.page = page;
-                l.sb = sbi;
                 l.version = page->version;
                 l.asGen = block_.asGen;
                 l.paBase = page->paBase;
@@ -1089,138 +1098,149 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
         // sequencers between slices), so the queue probe, the resolve
         // check, and the fetch-paid bookkeeping are hoisted out of the
         // per-instruction path — only the slice conditions remain live.
+        // Each instruction is one switch on its slot's handler id:
         // Inline ops, replay-covered aligned loads/stores, and branch
-        // terminators all dispatch here; the first instruction that
-        // needs more breaks out to the generic paths below with its
-        // fetch already charged.
+        // terminators run in place. EIP is not tracked per instruction:
+        // on the page it is the slot's address, stored back on exit.
+        // The first instruction that needs more falls through to the
+        // generic paths below with its fetch already charged.
         if (pendingSignals_.empty() && pendingProxy_.empty()) {
-            bool first = true;
-            // EIP shadows in a local for the whole loop (nothing
-            // dispatched here reads ctx_.eip) and is stored back once
-            // on exit.
-            VAddr eip = ctx_.eip;
+            // What the handler leaves to the shared tail.
+            enum class Step : std::uint8_t { Body, Store, Branch, Leave };
+            Step step = Step::Body;
+            const VAddr pageBase = page->vpn << mem::kPageShift;
+            const unsigned executedBefore = executed;
+            std::uint64_t fetches = 0; // batched fetch replays charged
             for (;;) {
-                if (!first && (executed >= sliceLimit ||
-                               consumed >= sliceBudget))
+                const DecodedSlot &s = page->slots[cur];
+                const isa::Instruction &in = s.inst;
+                Cycles cost = s.lat; // beyond the fetch
+                step = Step::Body;
+                bool taken = true;
+                VAddr target = in.imm;
+                switch (s.handler) {
+#define MISP_INLINE_CASE(op)                                              \
+                  case isa::Handler::op:                                  \
+                    cost += execInline(Opcode::op, in);                   \
                     break;
-                if (cur < term) {
-                    const DecodedSlot &s = page->slots[cur];
-                    if (s.cls == OpClass::Inline) {
-                        if (!first) {
-                            // Batched fetch replay (the chained
-                            // invariant: nothing in this loop disturbs
-                            // the last-translation caches).
-                            ++replays;
-                            consumed += mem::Mmu::kAccessCycles;
-                            ++hits;
-                        }
-                        first = false;
-                        consumed += s.lat;
-                        execInline(s.inst, &consumed);
-                        eip += isa::kInstBytes;
-                        ++cur;
-                        ++executed;
-                        ++retired;
-                        if (cur == DecodedPage::kSlots) {
-                            // Ran off the page edge: chain onward.
+#define MISP_INLINE_ROW(op, mnemonic, format, cls, latency)               \
+                  MISA_IF_INLINE_##cls(MISP_INLINE_CASE, op)
+                  MISA_OPCODES(MISP_INLINE_ROW)
+#undef MISP_INLINE_ROW
+#undef MISP_INLINE_CASE
+                  // Aligned load/store covered by the data-side
+                  // last-translation cache: replayed in place with a
+                  // fixed-width copy — same modeled cycles and TLB
+                  // effects as the full translate (the hit is batched
+                  // like the fetch replays), and no fault is possible:
+                  // alignment is checked and the cached entry already
+                  // passed the ring/write permission checks under an
+                  // unchanged TLB stamp. Anything else leaves for the
+                  // generic path.
+#define MISP_REPLAY_CASE(handler, width, isStore, next)                   \
+                  case isa::Handler::handler:                             \
+                    if (!replayAccess<width, isStore>(in)) {              \
+                        step = Step::Leave;                               \
+                        break;                                            \
+                    }                                                     \
+                    cost += mem::Mmu::kAccessCycles;                      \
+                    ++dataReplays;                                        \
+                    step = next;                                          \
+                    break;
+#define MISP_LD_CASE(width)                                               \
+                  MISP_REPLAY_CASE(Ld##width, width, false, Step::Body)
+#define MISP_ST_CASE(width)                                               \
+                  MISP_REPLAY_CASE(St##width, width, true, Step::Store)
+                  MISA_WIDTHS(MISP_LD_CASE)
+                  MISA_WIDTHS(MISP_ST_CASE)
+#undef MISP_ST_CASE
+#undef MISP_LD_CASE
+#undef MISP_REPLAY_CASE
+                  // Branch handlers only ever sit at the current
+                  // block's terminator: blocks end at the first one.
+#define MISP_JCC_CASE(cond, suffix)                                       \
+                  case isa::Handler::Jcc##cond:                           \
+                    taken = condHolds(isa::Cond::cond);                   \
+                    step = Step::Branch;                                  \
+                    break;
+                  MISA_CONDS(MISP_JCC_CASE)
+#undef MISP_JCC_CASE
+                  case isa::Handler::Jmp:
+                    step = Step::Branch;
+                    break;
+                  case isa::Handler::JmpR:
+                    target = ctx_.regs[in.rs1];
+                    step = Step::Branch;
+                    break;
+                  case isa::Handler::Generic:
+                    step = Step::Leave;
+                    break;
+                }
+                if (step == Step::Leave)
+                    break;
+                consumed += cost;
+                ++executed;
+                if (step == Step::Branch) {
+                    const VAddr neip = followBranch(
+                        taken, target, s.handler == isa::Handler::JmpR,
+                        pageBase + cur * isa::kInstBytes);
+                    if (page == nullptr) {
+                        ctx_.eip = neip;
+                        break;
+                    }
+                } else {
+                    ++cur;
+                    // A store may have hit this very code page (SMC):
+                    // the invalidation bumped its version, so the chain
+                    // breaks before the next dispatch. Running off the
+                    // page edge chains onward.
+                    const bool smc = step == Step::Store &&
+                                     page->version != block_.version;
+                    if (smc || cur == DecodedPage::kSlots) {
+                        ctx_.eip = pageBase + cur * isa::kInstBytes;
+                        if (smc)
+                            page = nullptr;
+                        else
                             chainExit(true);
-                            break;
-                        }
-                        continue;
+                        break;
                     }
-                    if (s.cls == OpClass::Mem &&
-                        (s.inst.op == Opcode::Ld ||
-                         s.inst.op == Opcode::St)) {
-                        // Aligned load/store covered by the data-side
-                        // last-translation cache: replayed in place —
-                        // same modeled cycles and TLB effects as the
-                        // full translate (the hit is batched like the
-                        // fetch replays), and no fault is possible:
-                        // alignment is checked here and the cached
-                        // entry already passed the ring/write
-                        // permission checks under an unchanged TLB
-                        // stamp.
-                        const isa::Instruction &in = s.inst;
-                        const bool isSt = in.op == Opcode::St;
-                        const VAddr va = ctx_.regs[in.rs1] + in.imm;
-                        const unsigned size = in.sub;
-                        if ((va & (size - 1)) == 0 &&
-                            mmu_.dataReplayable(va, isSt, ring_)) {
-                            if (!first) {
-                                ++replays;
-                                consumed += mem::Mmu::kAccessCycles;
-                                ++hits;
-                            }
-                            first = false;
-                            consumed += s.lat + mem::Mmu::kAccessCycles;
-                            ++dataReplays;
-                            if (isSt)
-                                mmu_.dataReplayWrite(
-                                    va, ctx_.regs[in.rs2], size);
-                            else
-                                ctx_.regs[in.rd] =
-                                    mmu_.dataReplayRead(va, size);
-                            eip += isa::kInstBytes;
-                            ++cur;
-                            ++executed;
-                            ++retired;
-                            // The store may have hit this very code
-                            // page (SMC): the invalidation bumped its
-                            // version, so the chain breaks before the
-                            // next dispatch.
-                            if (isSt &&
-                                page->version != block_.version) {
-                                page = nullptr;
-                                break;
-                            }
-                            if (cur == DecodedPage::kSlots) {
-                                chainExit(true);
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    break; // generic dispatch below
                 }
-                if (cur != term || term == DecodedPage::kSlots)
-                    break; // off-block EIP or page-edge: generic paths
-                const DecodedSlot &t = page->slots[term];
-                if (t.cls != OpClass::Branch)
-                    break; // Slow / Invalid terminator: generic paths
-                if (!first) {
-                    ++replays;
-                    consumed += mem::Mmu::kAccessCycles;
-                    ++hits;
-                }
-                first = false;
-                eip = runBranch(t, eip);
-                if (page == nullptr)
+                if (executed >= sliceLimit || consumed >= sliceBudget)
                     break;
+                // Charge the next instruction's fetch: a batched replay
+                // (the chained invariant: nothing in this loop disturbs
+                // the last-translation caches).
+                ++fetches;
+                consumed += mem::Mmu::kAccessCycles;
             }
-            ctx_.eip = eip;
-            if (!first)
+            // Every instruction the fast loop ran retired.
+            retired += executed - executedBefore;
+            replays += fetches;
+            hits += fetches;
+            if (page != nullptr)
+                ctx_.eip = pageBase + cur * isa::kInstBytes;
+            if (step != Step::Leave)
                 continue; // the outer head re-runs the boundary work
-            // Nothing dispatched: the current instruction needs a
-            // generic path (its fetch is already charged above).
+            // The instruction at cur needs a generic path (its fetch is
+            // already charged).
         }
 
         // ---- generic one-instruction paths --------------------------
-        if (cur < term) {
-            const DecodedSlot &s = page->slots[cur];
-            if (s.cls == OpClass::Inline) {
-                // Single step: async work is pending, so the queue
-                // probe must run between instructions.
-                consumed += s.lat;
-                execInline(s.inst, &consumed);
-                ctx_.eip += isa::kInstBytes;
-                ++cur;
-                ++executed;
-                ++retired;
-                if (cur == DecodedPage::kSlots)
-                    chainExit(true);
-                continue;
-            }
-            // OpClass::Mem through the generic path.
+        const DecodedSlot &s = page->slots[cur];
+        if (s.cls == OpClass::Inline) {
+            // Single step: async work is pending, so the queue probe
+            // must run between instructions.
+            consumed += s.lat + execInline(s.inst.op, s.inst);
+            ctx_.eip += isa::kInstBytes;
+            ++cur;
+            ++executed;
+            ++retired;
+            if (cur == DecodedPage::kSlots)
+                chainExit(true);
+            continue;
+        }
+
+        if (s.cls == OpClass::Mem) {
             commit();
             consumed += executeDecoded(s.inst, s.lat, &stop);
             ++executed;
@@ -1244,17 +1264,17 @@ Sequencer::runSuperblocks(unsigned *executedIo, Cycles *consumedIo)
             continue;
         }
 
-        if (term == DecodedPage::kSlots) {
-            // Unreachable by construction (the page-edge exit is taken
-            // when the last body instruction retires); fall back to a
-            // full resolve rather than trusting the chain.
-            page = nullptr;
-            continue;
-        }
-
-        const DecodedSlot &s = page->slots[cur];
         if (s.cls == OpClass::Branch) {
-            ctx_.eip = runBranch(s, ctx_.eip);
+            consumed += s.lat;
+            ++executed;
+            ++retired;
+            const isa::Instruction &in = s.inst;
+            const bool indirect = in.op == Opcode::JmpR;
+            ctx_.eip = followBranch(
+                in.op != Opcode::Jcc ||
+                    condHolds(static_cast<isa::Cond>(in.sub)),
+                indirect ? ctx_.regs[in.rs1] : in.imm, indirect,
+                ctx_.eip);
             continue;
         }
 

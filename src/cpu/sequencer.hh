@@ -418,12 +418,25 @@ class Sequencer : public snap::Saveable
      *  runSlice(). In/out: instructions executed and cycles consumed
      *  this slice. */
     void runSuperblocks(unsigned *executed, Cycles *consumed);
-    /** Execute one OpClass::Inline instruction on the register file
-     *  (COMPUTE burns extra cycles into @p consumed). The one definition
-     *  of every Inline-class opcode's semantics. */
-    void execInline(const isa::Instruction &inst, Cycles *consumed);
+    /** Execute Inline-class @p op with @p inst's operands on the
+     *  register file; returns the cycles it burns beyond its base
+     *  latency (COMPUTE's burst, else 0). The one definition of every
+     *  Inline-class opcode's semantics. Forced inline into both
+     *  engines: the superblock fast loop passes a constant @p op per
+     *  handler id, so each expansion folds to that op's case; the
+     *  reference path passes inst.op. */
+    [[gnu::always_inline]] inline Cycles
+    execInline(isa::Opcode op, const isa::Instruction &inst);
+    /** Superblock fast loop: run the @p Width-byte load (with
+     *  @p Store, store) @p inst in place through the data-side
+     *  last-translation cache. @return false, having done nothing, when
+     *  the access is misaligned or not replayable. */
+    template <unsigned Width, bool Store>
+    [[gnu::always_inline]] inline bool
+    replayAccess(const isa::Instruction &inst);
     /** Execute the already-fetched @p inst; shared by both engines (the
-     *  superblock engine sends its Mem- and Slow-class ops here).
+     *  superblock engine sends every op its fast loop cannot run in
+     *  place here).
      *  Inline-class ops go to execInline. @p cycles has the fetch+base
      *  latency. */
     Cycles executeDecoded(const isa::Instruction &inst, Cycles cycles,
@@ -434,8 +447,12 @@ class Sequencer : public snap::Saveable
     Cycles handleFaultFromExec(const mem::Fault &fault, bool *stop,
                                bool *advance);
 
-    void setFlagsFromCompare(SWord a, SWord b);
-    bool condHolds(isa::Cond cond) const;
+    /** Flag and condition helpers of Cmp/CmpI and Jcc; forced inline
+     *  so the fast loop evaluates each Jcc handler's condition in
+     *  place. */
+    [[gnu::always_inline]] inline void setFlagsFromCompare(SWord a,
+                                                           SWord b);
+    [[gnu::always_inline]] inline bool condHolds(isa::Cond cond) const;
 
     std::string name_;   ///< snap: config
     SequencerId sid_;    ///< snap: config

@@ -22,6 +22,11 @@
 namespace misp::harness {
 
 struct BareMachine {
+    /** The writable data region: data at its base, the stack at its
+     *  top. */
+    static constexpr VAddr kDataBase = 0x10'0000;
+    static constexpr std::uint64_t kDataPages = 8;
+
     EventQueue eq;
     mem::PhysicalMemory pmem{1 << 14};
     stats::StatGroup root{""};
@@ -62,7 +67,8 @@ struct BareMachine {
         prog = isa::assemble(src, 0x40'0000);
         as.defineRegion(prog.base, prog.byteSize() + 64, writableCode,
                         "code", prog.bytes());
-        as.defineRegion(0x10'0000, 8 * mem::kPageSize, true, "stack");
+        as.defineRegion(kDataBase, kDataPages * mem::kPageSize, true,
+                        "stack");
     }
 
     /** (Re)start at `main` — valid from Idle and from Halted. */
@@ -70,7 +76,7 @@ struct BareMachine {
     start()
     {
         seq.startAt(prog.symbol("main"),
-                    0x10'0000 + 8 * mem::kPageSize - 64);
+                    kDataBase + kDataPages * mem::kPageSize - 64);
     }
 
     /** Start and run the event queue dry. */

@@ -1,5 +1,6 @@
 #include "isa.hh"
 
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <sstream>
@@ -39,10 +40,26 @@ subValid(Format format, std::uint8_t sub)
     }
 }
 
-constexpr const char *kCondNames[] = {"eq", "ne", "lt",  "le",
-                                      "gt", "ge", "ult", "uge"};
-static_assert(std::size(kCondNames) ==
-              static_cast<std::size_t>(Cond::NumConds));
+constexpr const char *kCondNames[] = {
+#define MISA_COND_NAME(cond, suffix) suffix,
+    MISA_CONDS(MISA_COND_NAME)
+#undef MISA_COND_NAME
+};
+
+/** Handler id of each opcode: its own for an Inline-class row, Generic
+ *  for the rest (handlerOf refines Ld, St and the branches). */
+constexpr auto kOpHandler = [] {
+    std::array<Handler, static_cast<std::size_t>(Opcode::NumOpcodes)> t{};
+    t.fill(Handler::Generic);
+#define MISA_SET_INLINE(op)                                               \
+    t[static_cast<std::size_t>(Opcode::op)] = Handler::op;
+#define MISA_INLINE_ROW(op, mnemonic, format, cls, latency)               \
+    MISA_IF_INLINE_##cls(MISA_SET_INLINE, op)
+    MISA_OPCODES(MISA_INLINE_ROW)
+#undef MISA_INLINE_ROW
+#undef MISA_SET_INLINE
+    return t;
+}();
 
 } // namespace
 
@@ -60,6 +77,27 @@ decode(const std::uint8_t bytes[kInstBytes], Instruction *out)
     if (out->rd >= kNumRegs || out->rs1 >= kNumRegs || out->rs2 >= kNumRegs)
         return false;
     return subValid(opInfo(out->op).format, out->sub);
+}
+
+Handler
+handlerOf(const Instruction &inst)
+{
+    // Ld/St widths are powers of two (decode rejects the rest), and
+    // the per-width and per-condition ids are consecutive.
+    const auto offset = [](Handler first, unsigned index) {
+        return static_cast<Handler>(static_cast<unsigned>(first) + index);
+    };
+    if (inst.op == Opcode::Ld)
+        return offset(Handler::Ld1, std::countr_zero(inst.sub));
+    if (inst.op == Opcode::St)
+        return offset(Handler::St1, std::countr_zero(inst.sub));
+    if (inst.op == Opcode::Jcc)
+        return offset(Handler::JccEq, inst.sub);
+    if (inst.op == Opcode::Jmp)
+        return Handler::Jmp;
+    if (inst.op == Opcode::JmpR)
+        return Handler::JmpR;
+    return kOpHandler[static_cast<std::size_t>(inst.op)];
 }
 
 const char *

@@ -51,10 +51,11 @@ constexpr unsigned kInstBytes = 16;
  *
  * The enum, the mnemonics (assembler and disassembler), the operand
  * formats (assembler, disassembler, and the `sub` checks of decode),
- * the host dispatch classes (superblock termination), and the base
- * latencies are all generated from these rows. Adding an opcode is one
- * row here plus its semantics in the sequencer (execInline for an
- * Inline-class op, executeDecoded for the others).
+ * the host dispatch classes (superblock termination), the base
+ * latencies and the superblock engine's handler ids are all generated
+ * from these rows. Adding an opcode is one row here plus its semantics
+ * in the sequencer (execInline for an Inline-class op, executeDecoded
+ * for the others).
  *
  * Keep the row order stable: encoded opcode bytes follow it.
  */
@@ -216,11 +217,61 @@ opInfo(Opcode op)
     return kOpTable[static_cast<std::size_t>(op)];
 }
 
-/** Branch conditions for Jcc, encoded in the `sub` field. */
+/** Branch conditions for Jcc, encoded in the `sub` field, one row
+ *  each in encoding order: X(Enum, "suffix"). Eq..Ge are signed, from
+ *  FLAGS; Ult and Uge are unsigned. Generates Cond, condName() and the
+ *  per-condition Jcc handler ids. */
+#define MISA_CONDS(X)                                                     \
+    X(Eq, "eq") X(Ne, "ne") X(Lt, "lt") X(Le, "le") X(Gt, "gt")           \
+    X(Ge, "ge") X(Ult, "ult") X(Uge, "uge")
+
+/** Branch conditions for Jcc, generated from MISA_CONDS. */
 enum class Cond : std::uint8_t {
-    Eq = 0, Ne, Lt, Le, Gt, Ge, ///< signed, from FLAGS
-    Ult, Uge,                   ///< unsigned
+#define MISA_COND_ENUM(cond, suffix) cond,
+    MISA_CONDS(MISA_COND_ENUM)
+#undef MISA_COND_ENUM
     NumConds
+};
+
+/** Ld/St access widths in bytes: the `sub` values decode accepts. */
+#define MISA_WIDTHS(X) X(1) X(2) X(4) X(8)
+
+/** Inline-class row filter: inside a MISA_OPCODES expansion,
+ *  `MISA_IF_INLINE_##cls(X, op)` is `X(op)` for an Inline-class row and
+ *  empty for every other row. */
+#define MISA_IF_INLINE_Inline(X, op) X(op)
+#define MISA_IF_INLINE_Mem(X, op)
+#define MISA_IF_INLINE_Branch(X, op)
+#define MISA_IF_INLINE_Slow(X, op)
+
+/**
+ * Superblock fast-loop handler of a decoded instruction: the one-byte
+ * id the engine's per-instruction dispatch switches on. Generated from
+ * the tables above: one id per Inline-class opcode, Ld and St per
+ * access width, Jcc per condition, then Jmp and JmpR. Generic is every
+ * other instruction (Mem-class ops other than Ld/St, Slow-class ops,
+ * and slots that failed to decode): the fast loop hands it to the
+ * sequencer's generic paths.
+ */
+enum class Handler : std::uint8_t {
+#define MISA_HANDLER_INLINE(op) op,
+#define MISA_HANDLER_ROW(op, mnemonic, format, cls, latency)              \
+    MISA_IF_INLINE_##cls(MISA_HANDLER_INLINE, op)
+    MISA_OPCODES(MISA_HANDLER_ROW)
+#undef MISA_HANDLER_ROW
+#undef MISA_HANDLER_INLINE
+#define MISA_HANDLER_LD(width) Ld##width,
+    MISA_WIDTHS(MISA_HANDLER_LD)
+#undef MISA_HANDLER_LD
+#define MISA_HANDLER_ST(width) St##width,
+    MISA_WIDTHS(MISA_HANDLER_ST)
+#undef MISA_HANDLER_ST
+#define MISA_HANDLER_JCC(cond, suffix) Jcc##cond,
+    MISA_CONDS(MISA_HANDLER_JCC)
+#undef MISA_HANDLER_JCC
+    Jmp,
+    JmpR,
+    Generic,
 };
 
 /** YIELD-CONDITIONAL scenario identifiers for SEMONITOR (§2.4, §2.5). */
@@ -275,6 +326,9 @@ opClass(Opcode op)
 {
     return opInfo(op).cls;
 }
+
+/** Fast-loop handler id of a successfully decoded @p inst. */
+Handler handlerOf(const Instruction &inst);
 
 /** Human-readable mnemonic ("???" for a non-opcode). */
 const char *opcodeName(Opcode op);

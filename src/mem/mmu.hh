@@ -143,25 +143,31 @@ class Mmu : public snap::Saveable
                (!isWrite || lastData_.writable);
     }
 
-    /** Replayed load (caller checked dataReplayable + alignment). Goes
-     *  straight at the frame's stable byte pointer; the bytes read are
-     *  accounted at the next commitDataReplays(). */
+    /** Replayed @p Size-byte load (caller checked dataReplayable +
+     *  alignment). Goes straight at the frame's stable byte pointer
+     *  with a fixed-width copy; the bytes read are accounted at the
+     *  next commitDataReplays(). */
+    template <unsigned Size>
     Word
-    dataReplayRead(VAddr va, unsigned size)
+    dataReplayRead(VAddr va)
     {
+        static_assert(Size == 1 || Size == 2 || Size == 4 || Size == 8);
         Word v = 0;
-        std::memcpy(&v, lastData_.bytes + pageOffset(va), size);
-        replayBytesRead_ += size;
+        std::memcpy(&v, lastData_.bytes + pageOffset(va), Size);
+        replayBytesRead_ += Size;
         return v;
     }
 
-    /** Replayed store (caller checked dataReplayable + alignment);
-     *  keeps the SMC decode-cache probe on the replay path. */
+    /** Replayed @p Size-byte store (caller checked dataReplayable +
+     *  alignment); keeps the SMC decode-cache probe on the replay
+     *  path. */
+    template <unsigned Size>
     void
-    dataReplayWrite(VAddr va, Word value, unsigned size)
+    dataReplayWrite(VAddr va, Word value)
     {
-        std::memcpy(lastData_.bytes + pageOffset(va), &value, size);
-        replayBytesWritten_ += size;
+        static_assert(Size == 1 || Size == 2 || Size == 4 || Size == 8);
+        std::memcpy(lastData_.bytes + pageOffset(va), &value, Size);
+        replayBytesWritten_ += Size;
         as_->decodeCache().noteWrite(va);
     }
 

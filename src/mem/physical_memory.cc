@@ -148,21 +148,49 @@ PhysicalMemory::snapSave(snap::Serializer &s) const
 void
 PhysicalMemory::snapRestore(snap::Deserializer &d)
 {
+    // Every count and frame id is checked against the configured
+    // capacity before it sizes or fills anything, so an image can never
+    // hand the guest memory the machine was not configured with. The
+    // state is replaced only once the whole section has parsed.
     if (d.u64() != frames_)
         throw snap::SnapError("physmem: capacity mismatch");
-    used_ = d.u64();
-    nextFresh_ = d.u64();
-    freeList_.resize(d.u64());
-    for (std::uint64_t &f : freeList_)
+    const std::uint64_t used = d.u64();
+    if (used > frames_)
+        throw snap::SnapError("physmem: frames in use exceed capacity");
+    const std::uint64_t nextFresh = d.u64();
+    if (nextFresh > frames_)
+        throw snap::SnapError("physmem: next fresh frame past capacity");
+    const std::uint64_t freeCount = d.u64();
+    if (freeCount > frames_)
+        throw snap::SnapError("physmem: free list longer than capacity");
+    std::vector<std::uint64_t> freeList(freeCount);
+    for (std::uint64_t &f : freeList) {
         f = d.u64();
-    store_.clear();
-    std::uint64_t count = d.u64();
+        if (f >= frames_)
+            throw snap::SnapError("physmem: free frame past capacity");
+    }
+    const std::uint64_t count = d.u64();
+    if (count > frames_)
+        throw snap::SnapError("physmem: more frames than capacity");
+    decltype(store_) store;
+    std::uint64_t prevFrame = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t frame = d.u64();
+        const std::uint64_t frame = d.u64();
+        if (frame >= frames_)
+            throw snap::SnapError("physmem: frame past capacity");
+        // snapSave writes ids in ascending order, so a repeat or a
+        // descent is a corrupt image.
+        if (!store.empty() && frame <= prevFrame)
+            throw snap::SnapError("physmem: frame ids not ascending");
         std::vector<std::uint8_t> bytes(kPageSize);
         d.bytes(bytes.data(), kPageSize);
-        store_.emplace(frame, std::move(bytes));
+        store.emplace(frame, std::move(bytes));
+        prevFrame = frame;
     }
+    used_ = used;
+    nextFresh_ = nextFresh;
+    freeList_ = std::move(freeList);
+    store_ = std::move(store);
 }
 
 const char *

@@ -45,6 +45,19 @@ class PhysicalMemory : public snap::Saveable
     std::uint64_t framesUsed() const { return used_; }
     std::uint64_t framesFree() const { return frames_ - used_; }
 
+    /** Bytes moved by guest data accesses so far (replayed accesses
+     *  count from their engine's next commit). */
+    std::uint64_t
+    bytesRead() const
+    {
+        return static_cast<std::uint64_t>(bytesRead_.value());
+    }
+    std::uint64_t
+    bytesWritten() const
+    {
+        return static_cast<std::uint64_t>(bytesWritten_.value());
+    }
+
     /** Typed little-endian accessors. @p size in {1,2,4,8}.
      *  Accesses must not cross a frame boundary (callers split at page
      *  granularity, and guest accesses are size-aligned). */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <set>
 
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
@@ -206,6 +207,54 @@ TEST(IsaNames, AllOpcodesNamed)
                          opcodeName(static_cast<Opcode>(other)));
     }
     EXPECT_STREQ(opcodeName(Opcode::NumOpcodes), "???");
+}
+
+// The superblock engine's handler ids: each Inline op, each Ld/St
+// width and each Jcc condition has an id of its own, so do Jmp and
+// JmpR, and every other op shares Generic.
+TEST(IsaHandlers, IdsFollowTheTable)
+{
+    std::set<Handler> seen;
+    auto own = [&](const Instruction &inst) {
+        const Handler h = handlerOf(inst);
+        EXPECT_NE(h, Handler::Generic) << disassemble(inst);
+        EXPECT_TRUE(seen.insert(h).second) << disassemble(inst);
+    };
+    for (unsigned op = 0;
+         op < static_cast<unsigned>(Opcode::NumOpcodes); ++op) {
+        Instruction inst;
+        inst.op = static_cast<Opcode>(op);
+        if (inst.op == Opcode::Ld || inst.op == Opcode::St) {
+            for (std::uint8_t width : {1, 2, 4, 8}) {
+                inst.sub = width;
+                own(inst);
+            }
+        } else if (inst.op == Opcode::Jcc) {
+            for (unsigned c = 0;
+                 c < static_cast<unsigned>(Cond::NumConds); ++c) {
+                inst.sub = static_cast<std::uint8_t>(c);
+                own(inst);
+            }
+        } else if (opClass(inst.op) == OpClass::Inline ||
+                   inst.op == Opcode::Jmp || inst.op == Opcode::JmpR) {
+            own(inst);
+        } else {
+            EXPECT_EQ(handlerOf(inst), Handler::Generic)
+                << opcodeName(inst.op);
+        }
+    }
+    // Every id but Generic is some instruction's.
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(Handler::Generic));
+
+    Instruction ld4{Opcode::Ld, 1, 2, 0, 4, 8};
+    EXPECT_EQ(handlerOf(ld4), Handler::Ld4);
+    Instruction st1{Opcode::St, 0, 2, 3, 1, 8};
+    EXPECT_EQ(handlerOf(st1), Handler::St1);
+    Instruction jult{Opcode::Jcc, 0, 0, 0,
+                     static_cast<std::uint8_t>(Cond::Ult), 64};
+    EXPECT_EQ(handlerOf(jult), Handler::JccUlt);
+    Instruction addi{Opcode::AddI, 1, 1, 0, 0, 3};
+    EXPECT_EQ(handlerOf(addi), Handler::AddI);
 }
 
 // Every table row round-trips through text: assembling the

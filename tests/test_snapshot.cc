@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "driver/runner.hh"
 #include "harness/run_record.hh"
+#include "mem/physical_memory.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
 #include "snapshot/state_io.hh"
@@ -140,6 +143,160 @@ TEST(Serialize, ReadPastSectionEndThrows)
     d.openSection(1);
     EXPECT_EQ(d.u32(), 5u);
     EXPECT_THROW(d.u32(), snap::SnapError);
+}
+
+// ---------------------------------------------------------------------
+// Physical memory section
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A physmem section laid out as PhysicalMemory::snapSave writes it:
+ *  capacity, frames in use, next fresh frame, the free list, then each
+ *  materialized frame's id and bytes. Defaults describe a consistent
+ *  8-frame memory (frames 0..2 handed out, 1 freed, 0 and 2 written). */
+struct PhysImage {
+    std::uint64_t capacity = 8;
+    std::uint64_t used = 2;
+    std::uint64_t nextFresh = 3;
+    std::uint64_t freeCount = 1; ///< the length field as written
+    std::vector<std::uint64_t> freeList{1};
+    std::uint64_t frameCount = 2; ///< the count field as written
+    std::vector<std::uint64_t> frames{0, 2};
+
+    std::string
+    image() const
+    {
+        snap::Serializer s;
+        s.beginSection(1);
+        s.u64(capacity);
+        s.u64(used);
+        s.u64(nextFresh);
+        s.u64(freeCount);
+        for (std::uint64_t f : freeList)
+            s.u64(f);
+        s.u64(frameCount);
+        const std::vector<std::uint8_t> page(mem::kPageSize, 0xAB);
+        for (std::uint64_t f : frames) {
+            s.u64(f);
+            s.bytes(page.data(), page.size());
+        }
+        s.endSection();
+        return s.done();
+    }
+};
+
+void
+restore(mem::PhysicalMemory &pm, const std::string &image)
+{
+    snap::Deserializer d(image);
+    d.openSection(1);
+    pm.snapRestore(d);
+}
+
+/** @p img must fail to restore with a SnapError naming @p what. */
+void
+expectRejected(const PhysImage &img, const std::string &what)
+{
+    mem::PhysicalMemory pm(8);
+    try {
+        restore(pm, img.image());
+        ADD_FAILURE() << "accepted; want \"" << what << "\"";
+    } catch (const snap::SnapError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+TEST(PhysmemRestore, SavedImageRestoresExactly)
+{
+    mem::PhysicalMemory src(8);
+    const std::uint64_t a = src.allocFrame();
+    const std::uint64_t b = src.allocFrame();
+    const std::uint64_t c = src.allocFrame();
+    src.write(a << mem::kPageShift, 0x1122, 8);
+    src.write((c << mem::kPageShift) + 8, 0x3344, 4);
+    src.freeFrame(b);
+    snap::Serializer s;
+    s.beginSection(1);
+    src.snapSave(s);
+    s.endSection();
+    const std::string image = s.done();
+
+    mem::PhysicalMemory dst(8);
+    restore(dst, image);
+    EXPECT_EQ(dst.framesUsed(), 2u);
+    EXPECT_EQ(dst.read(a << mem::kPageShift, 8), 0x1122u);
+    EXPECT_EQ(dst.read((c << mem::kPageShift) + 8, 4), 0x3344u);
+    EXPECT_EQ(dst.allocFrame(), b); // the free list came back
+    snap::Serializer again;
+    again.beginSection(1);
+    dst.freeFrame(b);
+    dst.snapSave(again);
+    again.endSection();
+    EXPECT_EQ(again.done(), image);
+
+    PhysImage ok; // the hand-built layout matches snapSave's
+    mem::PhysicalMemory pm(8);
+    restore(pm, ok.image());
+    EXPECT_EQ(pm.framesUsed(), 2u);
+    EXPECT_EQ(pm.read(2 << mem::kPageShift, 1), 0xABu);
+}
+
+TEST(PhysmemRestore, RejectsFramesInUsePastCapacity)
+{
+    PhysImage img;
+    img.used = 9;
+    expectRejected(img, "frames in use exceed capacity");
+}
+
+TEST(PhysmemRestore, RejectsNextFreshFramePastCapacity)
+{
+    PhysImage img;
+    img.nextFresh = 9;
+    expectRejected(img, "next fresh frame past capacity");
+}
+
+TEST(PhysmemRestore, RejectsFreeListLongerThanCapacity)
+{
+    // Checked before the list is sized: a length near 2^64 must not
+    // reach an allocation.
+    PhysImage img;
+    img.freeCount = ~0ull;
+    expectRejected(img, "free list longer than capacity");
+}
+
+TEST(PhysmemRestore, RejectsFreeFramePastCapacity)
+{
+    // allocFrame would hand this frame to the guest.
+    PhysImage img;
+    img.freeList = {8};
+    expectRejected(img, "free frame past capacity");
+}
+
+TEST(PhysmemRestore, RejectsMoreFramesThanCapacity)
+{
+    PhysImage img;
+    img.frameCount = 9;
+    expectRejected(img, "more frames than capacity");
+}
+
+TEST(PhysmemRestore, RejectsFramePastCapacity)
+{
+    PhysImage img;
+    img.frames = {0, 8};
+    expectRejected(img, "frame past capacity");
+}
+
+TEST(PhysmemRestore, RejectsRepeatedOrDescendingFrameIds)
+{
+    PhysImage img;
+    img.frames = {2, 2};
+    expectRejected(img, "frame ids not ascending");
+    img.frames = {2, 0};
+    expectRejected(img, "frame ids not ascending");
 }
 
 // ---------------------------------------------------------------------

@@ -10,8 +10,10 @@
  * loops, page-crossing straight runs, self-modifying stores into the
  * program's own code pages, RTCALLs, and stack traffic — and fails on
  * the first observable divergence between the engines: final tick,
- * retired/busy counts, every
- * architectural register, and the TLB's hit/miss/walk statistics.
+ * retired/busy counts, every architectural register, the TLB's
+ * hit/miss/walk statistics, the physical-memory byte counters, and a
+ * digest of every data and stack page (so a store that writes too many
+ * bytes diverges even when no later load reads the clobbered ones).
  *
  * A second pass replays a seed subset with a host-side poke schedule:
  * the machine runs to a fixed tick, the host rewrites a code page (the
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cpu/decode_cache.hh"
 #include "cpu/sequencer.hh"
@@ -259,6 +262,24 @@ struct FuzzMachine : harness::BareMachine {
     {}
 };
 
+/** FNV-1a over the bytes of the machine's data region (its data
+ *  pages and its stack). */
+std::uint64_t
+dataDigest(const harness::BareMachine &m)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint8_t page[mem::kPageSize];
+    for (std::uint64_t p = 0; p < harness::BareMachine::kDataPages; ++p) {
+        m.as.peek(harness::BareMachine::kDataBase + p * mem::kPageSize,
+                  page, sizeof page);
+        for (std::uint8_t b : page) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
 struct Observed {
     Tick ticks = 0;
     Tick busy = 0;
@@ -266,6 +287,9 @@ struct Observed {
     std::uint64_t tlbHits = 0;
     std::uint64_t tlbMisses = 0;
     std::uint64_t walks = 0;
+    std::uint64_t bytesRead = 0;
+    std::uint64_t bytesWritten = 0;
+    std::uint64_t digest = 0;
     Word regs[isa::kNumRegs] = {};
 
     static Observed
@@ -278,6 +302,9 @@ struct Observed {
         o.tlbHits = m.seq.mmu().tlb().hits();
         o.tlbMisses = m.seq.mmu().tlb().misses();
         o.walks = m.seq.mmu().pageWalks();
+        o.bytesRead = m.pmem.bytesRead();
+        o.bytesWritten = m.pmem.bytesWritten();
+        o.digest = dataDigest(m);
         for (unsigned r = 0; r < isa::kNumRegs; ++r)
             o.regs[r] = m.seq.context().regs[r];
         return o;
@@ -295,6 +322,10 @@ expectIdentical(const Observed &ref, const Observed &got,
     EXPECT_EQ(got.tlbHits, ref.tlbHits) << en << " seed " << seed;
     EXPECT_EQ(got.tlbMisses, ref.tlbMisses) << en << " seed " << seed;
     EXPECT_EQ(got.walks, ref.walks) << en << " seed " << seed;
+    EXPECT_EQ(got.bytesRead, ref.bytesRead) << en << " seed " << seed;
+    EXPECT_EQ(got.bytesWritten, ref.bytesWritten)
+        << en << " seed " << seed;
+    EXPECT_EQ(got.digest, ref.digest) << en << " seed " << seed;
     for (unsigned r = 0; r < isa::kNumRegs; ++r)
         EXPECT_EQ(got.regs[r], ref.regs[r])
             << en << " seed " << seed << " r" << r;
@@ -351,6 +382,45 @@ TEST(SuperblockFuzz, HostPokeScheduleBitIdentical)
         }
         if (HasFailure())
             break;
+    }
+}
+
+TEST(SuperblockFuzz, NarrowStoresAtPageEndWriteOnlyTheirBytes)
+{
+    // 4-, 2- and 1-byte stores into the last word of a page pre-filled
+    // with 0xFF, read back whole. The leading load primes the data-side
+    // last-translation cache, so under the superblock engine every
+    // access here is a fixed-width replay; a store wider than its size
+    // would clobber the word's 0xFF top byte.
+    const std::string src = R"(
+    main:
+        movi r2, 0x100000
+        movi r6, 0x1122334455667788
+        ld8 r7, [r2+0]
+        st4 [r2+4088], r6
+        st2 [r2+4092], r6
+        st1 [r2+4094], r6
+        ld8 r7, [r2+4088]
+        halt
+)";
+    Observed want;
+    for (cpu::Engine engine :
+         {cpu::Engine::Reference, cpu::Engine::Superblock}) {
+        FuzzMachine m(src, engine);
+        const std::vector<std::uint8_t> ones(mem::kPageSize, 0xFF);
+        m.as.poke(harness::BareMachine::kDataBase, ones.data(),
+                  ones.size());
+        m.run();
+        EXPECT_EQ(m.reg(7), 0xFF88778855667788ull)
+            << cpu::engineName(engine);
+        EXPECT_EQ(m.as.peekWord(harness::BareMachine::kDataBase + 4080,
+                                8),
+                  ~0ull)
+            << cpu::engineName(engine);
+        if (engine == cpu::Engine::Reference)
+            want = Observed::of(m);
+        else
+            expectIdentical(want, Observed::of(m), engine, 0);
     }
 }
 
