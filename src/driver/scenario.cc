@@ -571,45 +571,43 @@ Scenario::expandPoints(bool quickMode, std::vector<ScenarioPoint> *out,
         total *= a.values.size();
     out->reserve(total * machines.size());
 
+    // The knob each axis sets, without its "workload." / "machine."
+    // prefix, split off once rather than per point: a grid can have
+    // thousands of points.
+    std::vector<std::string> knobs;
+    knobs.reserve(axes.size());
+    for (const SweepAxis &a : axes)
+        knobs.push_back(a.key.substr(a.key.find('.') + 1));
+
     for (std::size_t idx = 0; idx < total; ++idx) {
-        // Odometer decode: first axis varies slowest.
-        std::vector<std::pair<std::string, std::string>> combo;
-        std::vector<int> axisLines;
-        std::size_t rem = idx;
-        std::size_t stride = total;
-        for (const SweepAxis &a : axes) {
-            stride /= a.values.size();
-            combo.emplace_back(a.key, a.values[rem / stride]);
-            axisLines.push_back(a.line);
-            rem %= stride;
-        }
-
         for (const MachineSpec &machine : machines) {
-            ScenarioPoint pt;
-            pt.machine = machine;
-            pt.workload = workload;
-            pt.background = background;
-            pt.competitors = competitors;
-            pt.competitor = competitor;
-            pt.coords = combo;
-
-            for (std::size_t i = 0; i < combo.size(); ++i) {
-                const auto &[key, value] = combo[i];
+            ScenarioPoint pt{machine,     workload,   background,
+                             competitors, competitor, {}};
+            pt.coords.reserve(axes.size());
+            // Odometer decode: first axis varies slowest.
+            std::size_t rem = idx;
+            std::size_t stride = total;
+            for (std::size_t i = 0; i < axes.size(); ++i) {
+                const SweepAxis &a = axes[i];
+                stride /= a.values.size();
+                const std::string &value = a.values[rem / stride];
+                rem %= stride;
+                pt.coords.emplace_back(a.key, value);
                 std::string msg;
                 bool ok;
-                if (key == "competitors") {
+                if (a.key == "competitors") {
                     ok = parseUnsigned(value, &pt.competitors);
                     if (!ok)
                         msg = "competitors: expected an integer, got '" +
                               value + "'";
-                } else if (key.rfind("workload.", 0) == 0) {
-                    ok = pt.workload.apply(key.substr(9), value, &msg);
+                } else if (a.key.rfind("workload.", 0) == 0) {
+                    ok = pt.workload.apply(knobs[i], value, &msg);
                 } else { // machine.<knob>
-                    ok = pt.machine.apply(key.substr(8), value, &msg);
+                    ok = pt.machine.apply(knobs[i], value, &msg);
                 }
                 if (!ok) {
                     if (err)
-                        *err = specError(specPath, axisLines[i], msg);
+                        *err = specError(specPath, a.line, msg);
                     return false;
                 }
             }

@@ -163,12 +163,24 @@ PhysicalMemory::snapRestore(snap::Deserializer &d)
     const std::uint64_t freeCount = d.u64();
     if (freeCount > frames_)
         throw snap::SnapError("physmem: free list longer than capacity");
+    // Every frame handed out so far is either in use or free, once:
+    // allocFrame would otherwise give one frame to two pages.
+    if (used > nextFresh || freeCount != nextFresh - used)
+        throw snap::SnapError("physmem: frames in use and free do not "
+                              "add up to the frames handed out");
     std::vector<std::uint64_t> freeList(freeCount);
     for (std::uint64_t &f : freeList) {
         f = d.u64();
         if (f >= frames_)
             throw snap::SnapError("physmem: free frame past capacity");
+        if (f >= nextFresh)
+            throw snap::SnapError("physmem: free frame never handed out");
     }
+    std::vector<std::uint64_t> sortedFree = freeList;
+    std::sort(sortedFree.begin(), sortedFree.end());
+    if (std::adjacent_find(sortedFree.begin(), sortedFree.end()) !=
+        sortedFree.end())
+        throw snap::SnapError("physmem: free frame listed twice");
     const std::uint64_t count = d.u64();
     if (count > frames_)
         throw snap::SnapError("physmem: more frames than capacity");

@@ -276,6 +276,34 @@ TEST(PhysmemRestore, RejectsFreeFramePastCapacity)
     expectRejected(img, "free frame past capacity");
 }
 
+TEST(PhysmemRestore, RejectsCountsThatDoNotAddUp)
+{
+    PhysImage img;
+    img.used = 3; // 3 in use + 1 free, but only 3 handed out
+    expectRejected(img, "do not add up");
+    img.used = 4;
+    img.freeCount = 0;
+    img.freeList.clear();
+    expectRejected(img, "do not add up");
+}
+
+TEST(PhysmemRestore, RejectsFreeFrameNeverHandedOut)
+{
+    PhysImage img;
+    img.freeList = {5};
+    expectRejected(img, "free frame never handed out");
+}
+
+TEST(PhysmemRestore, RejectsFreeFrameListedTwice)
+{
+    // allocFrame would hand frame 1 to two pages.
+    PhysImage img;
+    img.used = 1;
+    img.freeCount = 2;
+    img.freeList = {1, 1};
+    expectRejected(img, "free frame listed twice");
+}
+
 TEST(PhysmemRestore, RejectsMoreFramesThanCapacity)
 {
     PhysImage img;
